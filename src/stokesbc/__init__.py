@@ -85,12 +85,10 @@ from .profiles import (
 )
 from .quadrature import QuadratureCfg, adaptive_integrate
 from .symbols import (
-    AnsatzMatrix,
     BcSpec,
     FluidConstants,
     ModeBatch,
     ModeParams,
-    ansatz_matrix,
     boundary_symbol,
     boundary_symbol_factors,
     closed_form_inverse,
@@ -119,9 +117,7 @@ __all__ = [
     "ModeParams",
     "ModeBatch",
     "BcSpec",
-    "AnsatzMatrix",
     "derive_mode",
-    "ansatz_matrix",
     "boundary_symbol",
     "boundary_symbol_factors",
     "closed_form_inverse",

@@ -51,7 +51,7 @@ from .halfspace import (
     write_manifest,
 )
 from .navier_stokes import NsStepper, run_simulation, stream_function_field
-from .parabolic import verify_trace_relations
+from .parabolic import _RELATION_ALPHAS, verify_trace_relations
 from .quadrature import QuadratureCfg
 from .symbols import (
     BcSpec,
@@ -436,9 +436,6 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # verb: verify-traces
 # ---------------------------------------------------------------------------
-
-_RELATION_ALPHAS = {"T00": (0,), "T10": (1, -1), "T11": (0, 1, -1)}
-
 
 def _traces_chunk(task):
     relation, alpha, ri, chunk, count, cfg = task
@@ -861,6 +858,11 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
         "max_picard_iterations": max(
             (r.n_iterations for r in result.reports), default=0
         ),
+        "counters": {
+            "picard_iterations": result.picard_iterations,
+            "rejected_steps": result.rejected_steps,
+            "dt_halvings": result.dt_halvings,
+        },
         "passed": completed,
     }
     _write_report(out_dir, "run_ns.json", report)

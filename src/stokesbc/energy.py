@@ -56,10 +56,6 @@ __all__ = [
     "dissipation",
     "boundary_power",
     "convective_flux",
-    "power_s",
-    "power_s_alt",
-    "power_ns",
-    "power_ns_alt",
     "EnergyReport",
     "energy_balance_residual",
     "ClassificationReport",
@@ -190,26 +186,6 @@ def convective_flux(field: SampledField, face: str = "wall") -> float:
     return float(
         0.5 * field.constants.rho * wx * np.sum(speed_sq * nu_y * field.velocity[1, :, j])
     )
-
-
-def power_s(field: SampledField, tensor: TensorField | None = None) -> float:
-    """Linear boundary power in the symmetric form, int_wall u . (nu^T S)."""
-    return boundary_power(field, "S", "wall", tensor)
-
-
-def power_s_alt(field: SampledField, tensor: TensorField | None = None) -> float:
-    """Linear boundary power in the antisymmetric form, int_wall u . (nu^T T)."""
-    return boundary_power(field, "T", "wall", tensor)
-
-
-def power_ns(field: SampledField, tensor: TensorField | None = None) -> float:
-    """Convective boundary power, symmetric form."""
-    return power_s(field, tensor) - convective_flux(field, "wall")
-
-
-def power_ns_alt(field: SampledField, tensor: TensorField | None = None) -> float:
-    """Convective boundary power, antisymmetric form."""
-    return power_s_alt(field, tensor) - convective_flux(field, "wall")
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,11 @@ import numpy as np
 
 __all__ = [
     "graded_grid",
-    "map_stretch",
     "fd_weights",
     "diff_matrix",
     "trapezoid_weights",
     "cheb_lobatto",
 ]
-
-
-def map_stretch(n: int, cell_ratio: float = 1.08) -> float:
-    """Map strength a giving the requested adjacent-cell ratio at n points."""
-    if cell_ratio <= 1.0:
-        raise ValueError(f"cell_ratio must be > 1, got {cell_ratio}")
-    return (n - 1) * math.log(cell_ratio)
 
 
 def graded_grid(y_max: float, n: int, a: float = 4.0) -> np.ndarray:

@@ -17,18 +17,28 @@ Chebyshev-Lobatto wall-normal grid:
     (1) a discrete Dirichlet solve (xi^2 - D^2) q = -div Fhat splits the
         forcing datum into rho W Fhat + rho grad q (reported pressure
         rho q);
-    (2) one block collocation solve per mode for (vhat, what): interior
-        rows (omega^2 - mu D^2) = rho (W Fhat), boundary rows vhat(0) = 0
-        (tangential), i xi vhat(0) + (D what)(0) = 0 (divergence trace),
-        and vhat(Y) = what(Y) = 0 (truncation); the LU factors are cached
-        per (mode, dt);
+    (2) two real collocation solves per mode, interior rows
+        (omega^2 - mu D^2) = rho (W Fhat): a Dirichlet solve for vhat
+        (vhat(0) = 0 tangential, vhat(Y) = 0 truncation) and a solve for
+        what with (D what)(0) = 0 and what(Y) = 0.  The Neumann row is the
+        divergence trace i xi vhat(0) + (D what)(0) = 0 once vhat(0) = 0,
+        so the coupled complex block of the two components separates;
     (3) the exponential two-rate ansatz correction carrying the leftover
         normal trace -what(0), sampled on the nodes (its pressure joins the
-        reported pressure).
+        reported pressure).  Stage 3 is linear in that datum, so it is the
+        correction for datum 1, computed once per (mode, dt), scaled by
+        -what(0).
 
 The mean mode xi = 0 reduces to what == 0, a one-dimensional Helmholtz
 solve for vbar with vbar(0) = vbar(Y) = 0, and the hydrostatic integration
 pbar' = rho Fbar_y with pbar(Y) = 0.
+
+Every solve above is a fixed real linear map for a given (mode, dt).  The
+stepper builds their explicit inverses (LU factors solved against the
+identity) once per dt, stacked over the modes, so a resolvent solve is one
+rfft, one stacked matmul per stage and one irfft, with no Python work per
+mode (the usual practice for Chebyshev-Fourier solvers, Haidvogel & Zang,
+J. Comput. Phys. 30, 1979).  Only the current dt's operators are kept.
 
 The driver halves dt when Picard stalls or the kinetic energy grows for
 three consecutive accepted steps, and stops with status 'blowup_suspected'
@@ -38,15 +48,15 @@ at dt_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .energy import kinetic_energy
+from .energy import _ddx, kinetic_energy
 from .errors import InvalidModeError
 from .grids import cheb_lobatto, diff_matrix
-from .halfspace import GridSpec, ModeSolution, SampledField, solve_mode
+from .halfspace import GridSpec, SampledField, solve_mode
 from .symbols import BcSpec, FluidConstants, derive_mode
 
 __all__ = [
@@ -90,16 +100,9 @@ class SimulationResult:
     reports: tuple[IterationReport, ...]
     energies: tuple[float, ...]
     final_dt: float
-
-
-def _ddx_spec(arr: np.ndarray, x_length: float) -> np.ndarray:
-    nx = arr.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=1.0 / nx) / x_length
-    spec = np.fft.rfft(arr, axis=0)
-    spec *= (1j * k)[:, None]
-    if nx % 2 == 0:
-        spec[-1] = 0.0
-    return np.fft.irfft(spec, n=nx, axis=0)
+    picard_iterations: int  # over every attempted step, rejected ones included
+    rejected_steps: int  # steps whose Picard iteration did not converge
+    dt_halvings: int
 
 
 def _ddx_fd(arr: np.ndarray, x_length: float) -> np.ndarray:
@@ -121,7 +124,7 @@ def nonlinearity(
     """
     u = field.velocity
     if method == "spectral":
-        ddx = _ddx_spec
+        ddx = _ddx
         dmat = ddy if ddy is not None else diff_matrix(field.y, 1, npts=min(5, len(field.y)))
     elif method == "fd":
         ddx = _ddx_fd
@@ -163,6 +166,51 @@ def stream_function_field(
     return SampledField(grid, constants, x, y, u, p)
 
 
+@dataclass(frozen=True)
+class _Operators:
+    """Explicit real solution operators of one dt, stacked over the modes
+    1..last-1 (K of them) on n wall-normal nodes, plus the mean mode's."""
+
+    dt: float
+    pressure: np.ndarray  # (K, n, n) stage 1, Dirichlet xi^2 - D^2
+    velocity_x: np.ndarray  # (K, n, n) stage 2, Dirichlet Helmholtz for vhat
+    velocity_y: np.ndarray  # (K, n, n) stage 2, Neumann-at-0 Helmholtz for what
+    unit: np.ndarray  # (3, K, n) complex stage-3 correction (vhat, what, phat) for datum 1
+    mean_velocity: np.ndarray  # (n, n) Dirichlet Helmholtz for vbar
+    mean_pressure: np.ndarray  # (n, n) hydrostatic integration with pbar(Y) = 0
+
+
+def _dirichlet(mat: np.ndarray) -> np.ndarray:
+    """mat with rows 0 and n-1 replaced by Dirichlet rows, in place."""
+    n = len(mat)
+    mat[[0, n - 1]] = 0.0
+    mat[0, 0] = mat[n - 1, n - 1] = 1.0
+    return mat
+
+
+def _inverse(mat: np.ndarray, zero_datum_rows=(0, -1)) -> np.ndarray:
+    """Explicit inverse of mat: its LU factors solved against the identity.
+
+    The boundary rows in zero_datum_rows always carry a zero datum, so
+    their columns are zeroed: the operator ignores those entries of the
+    right-hand side.
+    """
+    inv = lu_solve(lu_factor(mat), np.eye(len(mat)))
+    inv[:, list(zero_datum_rows)] = 0.0
+    return inv
+
+
+def _apply(ops: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real operators applied to complex z (..., n) along its last axis.
+
+    z's real and imaginary parts are the two columns of a real (..., n, 2)
+    right-hand side, so a stack of K operators (K, n, n) takes a (K, n)
+    datum in one matmul, and a single (n, n) operator broadcasts over K.
+    """
+    real = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
+    return np.matmul(ops, real).view(np.complex128).reshape(z.shape)
+
+
 class NsStepper:
     """Backward-Euler/Picard stepper on a (uniform x) x (Chebyshev y) grid."""
 
@@ -183,69 +231,49 @@ class NsStepper:
         self.dy2 = self.dy @ self.dy
         self.n_modes = self.nx // 2 + 1
         self.xi = 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=1.0 / self.nx) / grid.x_length
-        self._pressure_lu: dict[int, tuple] = {}
-        self._velocity_lu: dict[tuple[int, float], tuple] = {}
-        self._mean_velocity_lu: dict[float, tuple] = {}
-        self._mean_pressure_lu: tuple | None = None
+        # rfft modes 1..last-1 carry the solve; an even nx's Nyquist mode is dropped
+        self._last = self.n_modes - 1 if self.nx % 2 == 0 else self.n_modes
+        self._ops: _Operators | None = None
 
-    # -- cached factorizations -------------------------------------------------
+    # -- cached solution operators -----------------------------------------------
 
-    def _pressure_system(self, ki: int) -> tuple:
-        if ki not in self._pressure_lu:
-            n = self.ny
-            mat = self.xi[ki] ** 2 * np.eye(n) - self.dy2
-            mat[0, :] = 0.0
-            mat[0, 0] = 1.0
-            mat[n - 1, :] = 0.0
-            mat[n - 1, n - 1] = 1.0
-            self._pressure_lu[ki] = lu_factor(mat.astype(complex))
-        return self._pressure_lu[ki]
+    def _operators(self, dt: float) -> _Operators:
+        """The solution operators for dt, rebuilt when dt changes."""
+        if self._ops is None or self._ops.dt != dt:
+            self._ops = None  # release the old dt's stacks before building
+            self._ops = self._build_operators(dt)
+        return self._ops
 
-    def _velocity_system(self, ki: int, dt: float) -> tuple:
-        key = (ki, dt)
-        if key not in self._velocity_lu:
-            n = self.ny
-            mu = self.constants.mu
-            omega_sq = self.constants.rho / dt + mu * self.xi[ki] ** 2
-            helm = omega_sq * np.eye(n) - mu * self.dy2
-            block = np.zeros((2 * n, 2 * n), dtype=complex)
-            block[:n, :n] = helm
-            block[n:, n:] = helm
-            # tangential row: vhat(0) = 0
-            block[0, :] = 0.0
-            block[0, 0] = 1.0
-            # truncation rows
-            block[n - 1, :] = 0.0
-            block[n - 1, n - 1] = 1.0
-            block[2 * n - 1, :] = 0.0
-            block[2 * n - 1, 2 * n - 1] = 1.0
-            # divergence-trace row: i xi vhat(0) + (D what)(0) = 0
-            block[n, :] = 0.0
-            block[n, 0] = 1j * self.xi[ki]
-            block[n, n:] = self.dy[0, :]
-            self._velocity_lu[key] = lu_factor(block)
-        return self._velocity_lu[key]
+    def _build_operators(self, dt: float) -> _Operators:
+        n = self.ny
+        rho, mu = self.constants.rho, self.constants.mu
+        eye = np.eye(n)
+        wall_row = self.dy[0]
+        xi = self.xi[1 : self._last]
+        pressure = np.empty((len(xi), n, n))
+        velocity_x = np.empty((len(xi), n, n))
+        velocity_y = np.empty((len(xi), n, n))
+        unit = np.empty((3, len(xi), n), dtype=complex)
+        shifted = FluidConstants(rho, mu, 1.0 / dt)
+        for k, x in enumerate(xi):
+            pressure[k] = _inverse(_dirichlet(x**2 * eye - self.dy2))
+            helm = _dirichlet((rho / dt + mu * x**2) * eye - mu * self.dy2)
+            velocity_x[k] = _inverse(helm)
+            # (D what)(0) = 0 is the divergence-trace row once vhat(0) = 0
+            helm[0] = wall_row
+            velocity_y[k] = _inverse(helm)
+            corr = solve_mode(derive_mode(shifted, 0.0, (x,)), _NS_BC, 1.0)
+            unit[:2, k] = corr.velocity.evaluate(self.y)
+            unit[2, k] = corr.pressure(self.y)
 
-    def _mean_velocity_system(self, dt: float) -> tuple:
-        if dt not in self._mean_velocity_lu:
-            n = self.ny
-            mu = self.constants.mu
-            helm = (self.constants.rho / dt) * np.eye(n) - mu * self.dy2
-            helm[0, :] = 0.0
-            helm[0, 0] = 1.0
-            helm[n - 1, :] = 0.0
-            helm[n - 1, n - 1] = 1.0
-            self._mean_velocity_lu[dt] = lu_factor(helm)
-        return self._mean_velocity_lu[dt]
-
-    def _mean_pressure_system(self) -> tuple:
-        if self._mean_pressure_lu is None:
-            n = self.ny
-            mat = self.dy.copy()
-            mat[n - 1, :] = 0.0
-            mat[n - 1, n - 1] = 1.0
-            self._mean_pressure_lu = lu_factor(mat)
-        return self._mean_pressure_lu
+        mean_velocity = _inverse(_dirichlet((rho / dt) * eye - mu * self.dy2))
+        hydrostatic = self.dy.copy()
+        hydrostatic[n - 1] = 0.0
+        hydrostatic[n - 1, n - 1] = 1.0
+        mean_pressure = _inverse(hydrostatic, zero_datum_rows=(-1,))
+        return _Operators(
+            dt, pressure, velocity_x, velocity_y, unit, mean_velocity, mean_pressure
+        )
 
     # -- the shifted-resolvent solve --------------------------------------------
 
@@ -254,69 +282,32 @@ class NsStepper:
 
         Returns (velocity (2, nx, ny), pressure (nx, ny)), both real.
         """
+        ops = self._operators(dt)
         rho = self.constants.rho
-        n = self.ny
+        last = self._last
         spec = np.fft.rfft(f_datum, axis=1)  # (2, n_modes, ny)
-        u_spec = np.zeros((2, self.n_modes, n), dtype=complex)
-        p_spec = np.zeros((self.n_modes, n), dtype=complex)
+        out = np.zeros((3, self.n_modes, self.ny), dtype=complex)  # vhat, what, phat
 
         # mean mode: what = 0, 1-d Helmholtz for vbar, hydrostatic pbar
-        fx = spec[0, 0].copy()
-        fy = spec[1, 0].copy()
-        rhs_v = rho * fx
-        rhs_v[0] = 0.0
-        rhs_v[n - 1] = 0.0
-        u_spec[0, 0] = lu_solve(self._mean_velocity_system(dt), rhs_v)
-        rhs_p = rho * fy
-        rhs_p[n - 1] = 0.0
-        p_spec[0] = lu_solve(self._mean_pressure_system(), rhs_p)
+        out[0, 0] = _apply(ops.mean_velocity, rho * spec[0, 0])
+        out[2, 0] = _apply(ops.mean_pressure, rho * spec[1, 0])
 
-        last = self.n_modes - 1 if self.nx % 2 == 0 else self.n_modes
-        for ki in range(1, last):
-            xi = self.xi[ki]
-            fhat = spec[:, ki, :]  # (2, ny)
+        fx = spec[0, 1:last]
+        fy = spec[1, 1:last]
+        ixi = 1j * self.xi[1:last, None]
+        # stage 1: potential part of the datum
+        q = _apply(ops.pressure, -(ixi * fx + _apply(self.dy, fy)))
+        # stage 2: Dirichlet solve for vhat, Neumann-at-0 solve for what
+        vhat = _apply(ops.velocity_x, rho * (fx - ixi * q))
+        what = _apply(ops.velocity_y, rho * (fy - _apply(self.dy, q)))
+        # stage 3: the unit trace correction scaled by the leftover -what(0)
+        resid = -what[:, :1]
+        out[0, 1:last] = vhat + resid * ops.unit[0]
+        out[1, 1:last] = what + resid * ops.unit[1]
+        out[2, 1:last] = rho * q + resid * ops.unit[2]
 
-            # stage 1: potential part of the datum
-            div_f = 1j * xi * fhat[0] + self.dy @ fhat[1]
-            rhs_q = -div_f
-            rhs_q[0] = 0.0
-            rhs_q[n - 1] = 0.0
-            q = lu_solve(self._pressure_system(ki), rhs_q)
-            wf_x = fhat[0] - 1j * xi * q
-            wf_y = fhat[1] - self.dy @ q
-
-            # stage 2: block collocation solve
-            rhs = np.zeros(2 * n, dtype=complex)
-            rhs[:n] = rho * wf_x
-            rhs[n:] = rho * wf_y
-            rhs[0] = 0.0
-            rhs[n - 1] = 0.0
-            rhs[n] = 0.0
-            rhs[2 * n - 1] = 0.0
-            sol = lu_solve(self._velocity_system(ki, dt), rhs)
-            vhat = sol[:n]
-            what = sol[n:]
-            phat = rho * q
-
-            # stage 3: exponential trace correction for the leftover w(0)
-            resid = -what[0]
-            if resid != 0.0:
-                mode = derive_mode(
-                    FluidConstants(rho, self.constants.mu, 1.0 / dt), 0.0, (xi,)
-                )
-                corr: ModeSolution = solve_mode(mode, _NS_BC, resid)
-                samples = corr.velocity.evaluate(self.y)
-                vhat = vhat + samples[0]
-                what = what + samples[1]
-                phat = phat + corr.pressure(self.y)
-
-            u_spec[0, ki] = vhat
-            u_spec[1, ki] = what
-            p_spec[ki] = phat
-
-        u = np.fft.irfft(u_spec, n=self.nx, axis=1)
-        p = np.fft.irfft(p_spec, n=self.nx, axis=0)
-        return u, p
+        field = np.fft.irfft(out, n=self.nx, axis=1)
+        return field[:2], field[2]
 
     # -- time stepping -----------------------------------------------------------
 
@@ -354,7 +345,7 @@ class NsStepper:
                 converged = True
                 break
 
-        div = _ddx_spec(u_new[0], self.grid.x_length) + u_new[1] @ self.dy.T
+        div = _ddx(u_new[0], self.grid.x_length) + u_new[1] @ self.dy.T
         new_field = guess
         new_state = NsState(time=t_next, field=new_field)
         report = IterationReport(
@@ -395,13 +386,17 @@ def run_simulation(
     energies = [kinetic_energy(initial)]
     growth_streak = 0
     accepted = 0
+    picard_iterations = rejected = halvings = 0
     status = "completed"
 
     while accepted < n_steps:
         candidate, report = stepper.step(
             state, dt, forcing=forcing, picard_tol=picard_tol, picard_max=picard_max
         )
+        picard_iterations += report.n_iterations
         if not report.converged:
+            rejected += 1
+            halvings += 1
             dt = dt / 2.0
             if dt < dt_min:
                 status = "blowup_suspected"
@@ -419,6 +414,7 @@ def run_simulation(
             growth_streak = 0
         if growth_streak >= 3:
             growth_streak = 0
+            halvings += 1
             dt = dt / 2.0
             if dt < dt_min:
                 status = "blowup_suspected"
@@ -432,4 +428,7 @@ def run_simulation(
         reports=tuple(reports),
         energies=tuple(energies),
         final_dt=dt,
+        picard_iterations=picard_iterations,
+        rejected_steps=rejected,
+        dt_halvings=halvings,
     )

@@ -87,9 +87,7 @@ __all__ = [
     "ModeParams",
     "ModeBatch",
     "BcSpec",
-    "AnsatzMatrix",
     "derive_mode",
-    "ansatz_matrix",
     "boundary_symbol",
     "boundary_symbol_factors",
     "closed_form_inverse",
@@ -192,15 +190,6 @@ class ModeParams:
         """Decay rate |xi| of the pressure (harmonic) ansatz column."""
         return self.abs_xi
 
-    def with_lambda_eps(self, lam_eps: complex) -> "ModeParams":
-        """Same constants/xi with epsilon + lambda replaced by lam_eps.
-
-        Convenience for time steppers that absorb 1/dt into the shift; the
-        real part of lam_eps must stay >= epsilon of the constants.
-        """
-        lam = complex(lam_eps) - self.constants.epsilon
-        return ModeParams(self.constants, lam, self.xi)
-
 
 _VALID_AB = (-1, 0, 1)
 
@@ -263,20 +252,6 @@ class BcSpec:
         in which the class's witness functionals are reported.
         """
         return "T" if (self.alpha == -1 or self.beta == -1) else "S"
-
-
-@dataclass(frozen=True)
-class AnsatzMatrix:
-    """The (n+1) x n coefficient matrix of the exponential ansatz, together
-    with the decay rates (omega/sqrt(mu), |xi|) of its two column groups."""
-
-    entries: np.ndarray
-    rate_fast: complex
-    rate_slow: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def derive_mode(constants: FluidConstants, lam: complex, xi) -> ModeParams:
@@ -375,19 +350,6 @@ class ModeBatch:
     @cached_property
     def abs_zeta(self) -> np.ndarray:
         return self.sqmu * self.abs_xi
-
-
-def ansatz_matrix(mode: ModeParams) -> AnsatzMatrix:
-    """Assemble the (n+1) x n exponential-ansatz coefficient matrix."""
-    nt = mode.n - 1
-    zeta = mode.zeta.astype(complex)
-    a = np.zeros((mode.n + 1, mode.n), dtype=complex)
-    a[:nt, :nt] = mode.omega * np.eye(nt)
-    a[:nt, nt] = -1j * zeta
-    a[nt, :nt] = 1j * zeta
-    a[nt, nt] = mode.abs_zeta
-    a[nt + 1, nt] = mode.kappa * mode.lambda_eps
-    return AnsatzMatrix(entries=a, rate_fast=mode.rate_fast, rate_slow=mode.rate_slow)
 
 
 def _check_bc_for_symbol(bc: BcSpec) -> None:

@@ -255,6 +255,11 @@ def test_run_ns_small_campaign(runner, tmp_path):
     report = json.loads((out / "run_ns.json").read_text())
     assert report["status"] == "completed"
     assert report["n_steps_accepted"] == 3
+    assert report["counters"] == {
+        "picard_iterations": sum(int(row["picard_iterations"]) for row in rows),
+        "rejected_steps": 0,
+        "dt_halvings": 0,
+    }
     assert (out / "final_field.csv").exists()
     assert (out / "final_manifest.json").exists()
 

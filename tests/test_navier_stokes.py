@@ -1,16 +1,22 @@
 """Semi-implicit nonlinear march on the periodic strip."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import stokesbc.navier_stokes as ns
 from stokesbc import (
+    BcSpec,
     FluidConstants,
     GridSpec,
     InvalidModeError,
     NsStepper,
+    derive_mode,
     kinetic_energy,
     nonlinearity,
     run_simulation,
+    solve_mode,
     stream_function_field,
 )
 from stokesbc.navier_stokes import NsState
@@ -87,6 +93,9 @@ def test_run_simulation_completes_and_decays():
     assert len(result.energies) == 6
     assert len(result.reports) == 5
     assert result.final_dt == 0.02
+    assert result.rejected_steps == 0
+    assert result.dt_halvings == 0
+    assert result.picard_iterations == sum(r.n_iterations for r in result.reports)
     e0 = result.energies[0]
     diffs = np.diff(result.energies)
     assert np.all(diffs <= 1e-8 * e0)
@@ -114,6 +123,8 @@ def test_violent_datum_reports_suspected_blowup():
     )
     assert result.status == "blowup_suspected"
     assert result.final_dt < 0.5  # at least one halving was attempted
+    assert result.rejected_steps >= 1
+    assert result.dt_halvings >= result.rejected_steps
 
 
 def test_forcing_hook_is_applied():
@@ -128,3 +139,112 @@ def test_forcing_hook_is_applied():
     free = run_simulation(stepper, initial, dt=0.02, n_steps=2)
     assert forced.status == free.status == "completed"
     assert forced.energies == pytest.approx(free.energies, rel=1e-12)
+
+
+def _dirichlet_rows(mat, n):
+    mat[[0, n - 1]] = 0.0
+    mat[0, 0] = mat[n - 1, n - 1] = 1.0
+    return mat
+
+
+def reference_solve_stokes(stepper, f_datum, dt):
+    """The three-stage split, mode by mode, with no cached operators.
+
+    Stage 2 solves the coupled complex 2n block of (vhat, what) with the
+    divergence-trace row i xi vhat(0) + (D what)(0) = 0; stage 3 calls
+    solve_mode with the leftover trace -what(0).  Returns the velocity, the
+    pressure and the largest |what(0)| that stage 3 corrects.
+    """
+    rho, mu = stepper.constants.rho, stepper.constants.mu
+    n, dy, dy2 = stepper.ny, stepper.dy, stepper.dy2
+    eye = np.eye(n)
+    spec = np.fft.rfft(f_datum, axis=1)
+    u_spec = np.zeros((2, stepper.n_modes, n), dtype=complex)
+    p_spec = np.zeros((stepper.n_modes, n), dtype=complex)
+
+    rhs = rho * spec[0, 0]
+    rhs[[0, n - 1]] = 0.0
+    u_spec[0, 0] = np.linalg.solve(_dirichlet_rows((rho / dt) * eye - mu * dy2, n), rhs)
+    hydrostatic = dy.copy()
+    hydrostatic[n - 1] = 0.0
+    hydrostatic[n - 1, n - 1] = 1.0
+    rhs = rho * spec[1, 0]
+    rhs[n - 1] = 0.0
+    p_spec[0] = np.linalg.solve(hydrostatic, rhs)
+
+    worst_trace = 0.0
+    last = stepper.n_modes - 1 if stepper.nx % 2 == 0 else stepper.n_modes
+    for ki in range(1, last):
+        xi = stepper.xi[ki]
+        fx, fy = spec[0, ki], spec[1, ki]
+        rhs = -(1j * xi * fx + dy @ fy)
+        rhs[[0, n - 1]] = 0.0
+        q = np.linalg.solve(_dirichlet_rows(xi**2 * eye - dy2, n), rhs)
+
+        helm = (rho / dt + mu * xi**2) * eye - mu * dy2
+        block = np.zeros((2 * n, 2 * n), dtype=complex)
+        block[:n, :n] = helm
+        block[n:, n:] = helm
+        for row in (0, n - 1, 2 * n - 1):
+            block[row] = 0.0
+            block[row, row] = 1.0
+        block[n] = 0.0
+        block[n, 0] = 1j * xi
+        block[n, n:] = dy[0]
+        rhs = np.concatenate([rho * (fx - 1j * xi * q), rho * (fy - dy @ q)])
+        rhs[[0, n - 1, n, 2 * n - 1]] = 0.0
+        sol = np.linalg.solve(block, rhs)
+        vhat, what = sol[:n], sol[n:]
+        worst_trace = max(worst_trace, abs(what[0]))
+
+        mode = derive_mode(FluidConstants(rho, mu, 1.0 / dt), 0.0, (xi,))
+        corr = solve_mode(mode, BcSpec(0, 0), -what[0])
+        samples = corr.velocity.evaluate(stepper.y)
+        u_spec[0, ki] = vhat + samples[0]
+        u_spec[1, ki] = what + samples[1]
+        p_spec[ki] = rho * q + corr.pressure(stepper.y)
+
+    u = np.fft.irfft(u_spec, n=stepper.nx, axis=1)
+    p = np.fft.irfft(p_spec, n=stepper.nx, axis=0)
+    return u, p, worst_trace
+
+
+@pytest.mark.parametrize("nx", [16, 15])
+def test_batched_resolvent_matches_mode_by_mode_reference(nx):
+    grid = cheb_grid(nx=nx)
+    stepper = NsStepper(CONSTANTS, grid)
+    f_datum = np.random.default_rng(2024).standard_normal((2, nx, grid.y_count))
+    # the second dt must rebuild the cached operators
+    for dt in (0.02, 0.01):
+        u, p = stepper.solve_stokes(f_datum, dt)
+        u_ref, p_ref, worst_trace = reference_solve_stokes(stepper, f_datum, dt)
+        # stage 3 carries a real correction, not a vanishing one
+        assert worst_trace > 1e-6 * np.max(np.abs(f_datum))
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+
+
+def test_operators_built_once_per_mode_and_dt(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ns, "solve_mode", counted("solve_mode", ns.solve_mode))
+    monkeypatch.setattr(ns, "lu_factor", counted("lu_factor", ns.lu_factor))
+    grid = cheb_grid(nx=16, ny=49)
+    stepper = NsStepper(CONSTANTS, grid)
+    result = run_simulation(stepper, small_field(grid), dt=0.02, n_steps=3)
+    assert result.status == "completed"
+    assert result.picard_iterations > 3
+    n_modes = 7  # modes 1..7; the mean mode has its own two operators
+    assert calls["solve_mode"] == n_modes
+    assert calls["lu_factor"] == 3 * n_modes + 2
+    # a new dt rebuilds every operator once more
+    stepper.step(result.states[-1], 0.01)
+    assert calls["solve_mode"] == 2 * n_modes
+    assert calls["lu_factor"] == 2 * (3 * n_modes + 2)
