@@ -54,6 +54,8 @@ from .navier_stokes import NsStepper, run_simulation, stream_function_field
 from .parabolic import _RELATION_ALPHAS, verify_trace_relations
 from .quadrature import QuadratureCfg
 from .symbols import (
+    ALL_BCS,
+    SYMBOL_BCS,
     BcSpec,
     FluidConstants,
     ModeBatch,
@@ -66,13 +68,6 @@ from .symbols import (
 #: number of independent sweep chunks; fixed so that results do not depend
 #: on the worker-pool width.
 N_CHUNKS = 16
-
-#: the nine boundary-condition pairs in canonical order
-ALL_BCS = [(a, b) for b in (0, 1, -1) for a in (0, 1, -1)]
-
-#: the six pairs with an invertible boundary symbol (beta = -1 prescribes
-#: the pressure trace directly and has no symbol to invert)
-SYMBOL_BCS = [(a, b) for b in (0, 1) for a in (0, 1, -1)]
 
 TWO_PI = 2.0 * math.pi
 
@@ -350,14 +345,14 @@ def _symbols_chunk(task) -> list[tuple]:
     worst_id = np.zeros(count)
     worst_gap = np.zeros(count)
     worst_pair = np.full(count, "", dtype=object)
-    for alpha, beta in SYMBOL_BCS:
-        bc = BcSpec(alpha, beta)
+    for bc in SYMBOL_BCS:
         b = boundary_symbol(batch, bc)
         closed = closed_form_inverse(batch, bc)
         generic = generic_inverse(batch, bc)
         rid = _max_abs(b @ closed - eye) / (_max_abs(b) * _max_abs(closed))
         gap = _max_abs(closed - generic) / _max_abs(generic)
-        worst_pair[np.maximum(rid, gap) >= np.maximum(worst_id, worst_gap)] = f"({alpha},{beta})"
+        worse = np.maximum(rid, gap) >= np.maximum(worst_id, worst_gap)
+        worst_pair[worse] = f"({bc.alpha},{bc.beta})"
         worst_id = np.maximum(worst_id, rid)
         worst_gap = np.maximum(worst_gap, gap)
     return [
@@ -947,7 +942,8 @@ def _register(name: str, help_text: str) -> None:
 _register(
     "verify-symbols",
     "Sweep random admissible modes and compare the closed-form boundary-symbol "
-    "inverse against the identity and against a polished generic inverse.",
+    "inverse against the identity and against an extended-precision LU inverse "
+    "of the symbol rebuilt from each mode's parameters.",
 )
 _register(
     "verify-traces",

@@ -244,9 +244,6 @@ class SplittingSolution:
     trace_correction: ModeSolution | None  # stage-3 mode (beta in {0, +1})
     residual_datum: complex  # normal datum carried by stage 3
 
-    def as_mode_solution(self) -> ModeSolution:
-        return ModeSolution(self.mode, self.bc, self.velocity, self.pressure)
-
 
 def splitting_solve_mode(
     mode: ModeParams,
@@ -437,6 +434,10 @@ class GridSpec:
 
     def wavenumber(self, k: int) -> float:
         return 2.0 * math.pi * k / self.x_length
+
+    def wavenumbers(self) -> np.ndarray:
+        """xi of the rfft modes 0..x_count//2 of the x nodes."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.x_count, d=1.0 / self.x_count) / self.x_length
 
 
 @dataclass

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .energy import _ddx, kinetic_energy
+from .energy import _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
 from .grids import cheb_lobatto, diff_matrix
 from .halfspace import GridSpec, SampledField, solve_mode
@@ -124,19 +124,13 @@ def nonlinearity(
     """
     u = field.velocity
     if method == "spectral":
-        ddx = _ddx
-        dmat = ddy if ddy is not None else diff_matrix(field.y, 1, npts=min(5, len(field.y)))
+        g = _velocity_gradient(field, ddy)
     elif method == "fd":
-        ddx = _ddx_fd
         dmat = diff_matrix(field.y, 1, npts=min(3, len(field.y)))
+        g = np.stack(([_ddx_fd(c, field.grid.x_length) for c in u], u @ dmat.T))
     else:
         raise ValueError(f"method must be 'spectral' or 'fd', got {method!r}")
-    out = np.empty_like(u)
-    for c in range(2):
-        gx = ddx(u[c], field.grid.x_length)
-        gy = u[c] @ dmat.T
-        out[c] = -(u[0] * gx + u[1] * gy)
-    return out
+    return -(u[0] * g[0] + u[1] * g[1])
 
 
 def stream_function_field(
@@ -230,7 +224,7 @@ class NsStepper:
         self.dy = (-2.0 / grid.y_max) * d_std
         self.dy2 = self.dy @ self.dy
         self.n_modes = self.nx // 2 + 1
-        self.xi = 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=1.0 / self.nx) / grid.x_length
+        self.xi = grid.wavenumbers()
         # rfft modes 1..last-1 carry the solve; an even nx's Nyquist mode is dropped
         self._last = self.n_modes - 1 if self.nx % 2 == 0 else self.n_modes
         self._ops: _Operators | None = None
@@ -345,7 +339,8 @@ class NsStepper:
                 converged = True
                 break
 
-        div = _ddx(u_new[0], self.grid.x_length) + u_new[1] @ self.dy.T
+        g = _velocity_gradient(guess, self.dy)
+        div = g[0, 0] + g[1, 1]
         new_field = guess
         new_state = NsState(time=t_next, field=new_field)
         report = IterationReport(

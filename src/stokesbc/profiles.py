@@ -137,18 +137,8 @@ class ScalarModeProfile:
     # -- basic queries ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
-
-    @property
     def abs_xi(self) -> float:
         return math.sqrt(sum(c * c for c in self.xi))
-
-    def min_decay(self) -> float:
-        """Smallest Re rate over the terms (0.0 for an empty/constant profile)."""
-        if not self.terms:
-            return math.inf
-        return min(t.rate.real for t in self.terms)
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -246,12 +236,6 @@ class VectorModeProfile:
             raise ProfileError("normal component xi mismatch")
         self.tangential = tangential
         self.normal = normal
-
-    @classmethod
-    def zero(cls, xi) -> "VectorModeProfile":
-        xi = _as_xi(xi)
-        z = ScalarModeProfile.zero(xi)
-        return cls(xi, tuple(z for _ in xi), z)
 
     @property
     def n(self) -> int:

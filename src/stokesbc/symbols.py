@@ -234,16 +234,6 @@ class BcSpec:
         return _BC_CLASS[(self.alpha, self.beta)]
 
     @property
-    def preserves_navier_stokes(self) -> bool:
-        """Boundary power of the convective kinetic-energy balance vanishes."""
-        return self.preservation_class == "B1"
-
-    @property
-    def preserves_stokes(self) -> bool:
-        """Boundary power of the linear kinetic-energy balance vanishes."""
-        return self.preservation_class in ("B1", "B2")
-
-    @property
     def adapted_form(self) -> str:
         """Which stress form makes the boundary power vanish pointwise.
 
@@ -252,6 +242,18 @@ class BcSpec:
         in which the class's witness functionals are reported.
         """
         return "T" if (self.alpha == -1 or self.beta == -1) else "S"
+
+    def __iter__(self):
+        """Unpacks as (alpha, beta)."""
+        return iter((self.alpha, self.beta))
+
+
+#: the nine boundary-condition pairs, normal family outermost
+ALL_BCS = tuple(BcSpec(a, b) for b in (0, 1, -1) for a in (0, 1, -1))
+
+#: the six pairs with an invertible boundary symbol (beta = -1 prescribes
+#: the pressure trace directly and has no symbol to invert)
+SYMBOL_BCS = tuple(BcSpec(a, b) for b in (0, 1) for a in (0, 1, -1))
 
 
 def derive_mode(constants: FluidConstants, lam: complex, xi) -> ModeParams:

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from stokesbc import BcSpec, FluidConstants, derive_mode
+from stokesbc import FluidConstants, derive_mode
 from stokesbc.halfspace import ModeSolution
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
-
-# All nine admissible boundary-condition pairs, normal family outermost.
-ALL_BCS = tuple(BcSpec(a, b) for b in (0, 1, -1) for a in (0, 1, -1))
-# The six pairs whose boundary symbol exists in closed form (beta != -1).
-SYMBOL_BCS = tuple(BcSpec(a, b) for b in (0, 1) for a in (0, 1, -1))
+from stokesbc.symbols import ALL_BCS, SYMBOL_BCS  # noqa: F401  (re-exported to the tests)
 
 STANDARD = FluidConstants(1.0, 1.0, 1.0)
 

@@ -11,6 +11,7 @@ from stokesbc import (
     BcSpec,
     FluidConstants,
     GridSpec,
+    SampledField,
     boundary_power,
     check_compatibility,
     classify_bc,
@@ -22,6 +23,7 @@ from stokesbc import (
     stream_function_field,
     synthesize_field,
 )
+from stokesbc.energy import tensors
 from stokesbc.halfspace import ModeSolution
 
 CONSTANTS = FluidConstants(1.0, 1.0, 1.0)
@@ -140,3 +142,108 @@ def test_compatibility_smoke():
     field = synthesize_field(CONSTANTS, {1: sol}, grid)
     report = check_compatibility(field, BcSpec(0, 0), p_exponent=1.0)
     assert report.entries
+
+
+def _field(grid, u_x, u_y, constants=CONSTANTS):
+    """SampledField of the velocity (u_x(x, y), u_y(x, y)) on grid's nodes."""
+    x, y = grid.x_nodes(), grid.y_nodes()
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    u = np.stack((u_x(xx, yy), u_y(xx, yy)))
+    return SampledField(grid, constants, x, y, u, np.zeros(xx.shape))
+
+
+@pytest.mark.parametrize("nx", [9, 8])
+def test_velocity_gradient_x_part_is_exact(nx):
+    # a sin(kx) e^{-cy} and b cos(2kx) y e^{-cy} lie below the Nyquist limit
+    # of both grids, so the spectral x-derivative is exact to rounding; a
+    # non-2 pi strip catches a wavenumber table that ignores x_length
+    a, b, c = 0.7, -1.9, 1.25
+    grid = GridSpec(3.0, nx, 10.0, 41)
+    k = grid.wavenumber(1)
+    field = _field(
+        grid,
+        lambda x, y: a * np.sin(k * x) * np.exp(-c * y),
+        lambda x, y: b * np.cos(2 * k * x) * y * np.exp(-c * y),
+    )
+    x, y = np.meshgrid(field.x, field.y, indexing="ij")
+    exact = np.stack(
+        (
+            a * k * np.cos(k * x) * np.exp(-c * y),
+            -2 * k * b * np.sin(2 * k * x) * y * np.exp(-c * y),
+        )
+    )
+    grad = tensors(field).grad
+    assert np.max(np.abs(grad[0] - exact)) <= 1e-12 * np.max(np.abs(field.velocity))
+
+
+def test_velocity_gradient_drops_the_nyquist_mode():
+    # on an even grid cos(nx/2 k x) samples as (-1)^j: its unpaired Nyquist
+    # mode has no derivative, while the other component is still exact
+    nx, b, c = 8, -1.9, 1.25
+    grid = GridSpec(3.0, nx, 10.0, 41)
+    k = grid.wavenumber(1)
+    field = _field(
+        grid,
+        lambda x, y: np.cos(nx // 2 * k * x) * np.exp(-c * y),
+        lambda x, y: b * np.cos(2 * k * x) * y * np.exp(-c * y),
+    )
+    x, y = np.meshgrid(field.x, field.y, indexing="ij")
+    grad = tensors(field).grad
+    scale = np.max(np.abs(field.velocity))
+    assert np.max(np.abs(grad[0, 0])) <= 1e-12 * scale
+    exact = -2 * k * b * np.sin(2 * k * x) * y * np.exp(-c * y)
+    assert np.max(np.abs(grad[0, 1] - exact)) <= 1e-12 * scale
+
+
+def _rows(field, bc, p_exponent, **data):
+    report = check_compatibility(field, bc, p_exponent, **data)
+    return {e.condition: e for e in report.entries}
+
+
+def _compatibility_field():
+    # psi = A sin(x) y^2 e^{-1.25 y}: divergence free, v = w = 0 on the wall,
+    # and the tangential stress trace -mu (d_y v +- d_x w)(0) = -2 mu A sin(x)
+    constants = FluidConstants(1.0, 1.3, 1.0)
+    grid = GridSpec(2.0 * np.pi, 16, 12.0, 129, y_kind="cheb")
+    return stream_function_field(constants, grid, 1e-3, k=1, decay=1.25)
+
+
+def test_compatibility_divergence_row():
+    # 65 uniform nodes are too coarse for the 1e-6 gate (C1 reads 5.4e-6)
+    c1 = _rows(_compatibility_field(), BcSpec(0, 0), 4.0)["C1"]
+    assert c1.checked and c1.passed
+    assert c1.residual < 1e-7
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_compatibility_stress_row(alpha):
+    field, bc = _compatibility_field(), BcSpec(alpha, 0)
+    wrong = _rows(field, bc, 4.0)["C2"]
+    assert wrong.checked and not wrong.passed
+    assert wrong.residual > 1e-3
+    rows = _rows(field, bc, 4.0, h_tangential=-2.0 * 1.3 * 1e-3 * np.sin(field.x))
+    assert all(rows[c].checked and rows[c].passed for c in ("C1", "C2", "C3"))
+    assert rows["C2"].residual < 1e-10
+    # below p = 3 the stress trace is undefined and the row is skipped
+    assert not _rows(field, bc, 1.0)["C2"].checked
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_compatibility_stress_row_sees_alpha(alpha):
+    # psi = B sin(x) e^{-c y} has w(0) = -B cos(x) != 0, so d_x w(0) enters
+    # the row with alpha's sign: -mu (d_y v + alpha d_x w)(0)
+    #   = -mu B (c^2 + alpha) sin(x)
+    mu, b, c = 1.3, 1e-3, 1.25
+    grid = GridSpec(2.0 * np.pi, 16, 12.0, 129, y_kind="cheb")
+    field = _field(
+        grid,
+        lambda x, y: -c * b * np.sin(x) * np.exp(-c * y),
+        lambda x, y: -b * np.cos(x) * np.exp(-c * y),
+        FluidConstants(1.0, mu, 1.0),
+    )
+    bc, w0 = BcSpec(alpha, 0), -b * np.cos(field.x)
+    for sign, passed in ((alpha, True), (-alpha, False)):
+        trace = -mu * b * (c * c + sign) * np.sin(field.x)
+        rows = _rows(field, bc, 4.0, h_tangential=trace, h_normal=w0)
+        assert rows["C1"].passed and rows["C3"].checked and rows["C3"].passed
+        assert rows["C2"].checked and rows["C2"].passed is passed
