@@ -568,14 +568,17 @@ def _grid_from_config(cfg: dict) -> GridSpec:
     _require_number(g, "y_grading", path="grid")
     if g["y_kind"] not in ("uniform", "graded", "cheb"):
         raise ConfigError("grid.y_kind must be 'uniform', 'graded' or 'cheb'")
-    return GridSpec(
-        x_length=float(g["x_length"]),
-        x_count=int(g["x_count"]),
-        y_max=float(g["y_max"]),
-        y_count=int(g["y_count"]),
-        y_grading=float(g["y_grading"]),
-        y_kind=g["y_kind"],
-    )
+    try:
+        return GridSpec(
+            x_length=float(g["x_length"]),
+            x_count=int(g["x_count"]),
+            y_max=float(g["y_max"]),
+            y_count=int(g["y_count"]),
+            y_grading=float(g["y_grading"]),
+            y_kind=g["y_kind"],
+        )
+    except ValueError as exc:  # GridSpec pairs y_grading with y_kind
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _constants_from_config(cfg: dict, *, epsilon_key: bool = True) -> FluidConstants:

@@ -214,10 +214,6 @@ class EnergyReport:
     convective_fluxes: tuple[float, ...]
     residuals: tuple[float, ...]
 
-    @property
-    def max_abs_residual(self) -> float:
-        return max((abs(r) for r in self.residuals), default=0.0)
-
 
 def energy_balance_residual(
     series,

@@ -157,7 +157,7 @@ def stream_function_field(
     u[0] = amplitude * sin_x[:, None] * dshape_y[None, :]
     u[1] = -amplitude * xi * cos_x[:, None] * shape_y[None, :]
     p = np.zeros((len(x), len(y)))
-    return SampledField(grid, constants, x, y, u, p)
+    return SampledField(grid, constants, u, p)
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,9 @@ class NsStepper:
             )
         self.constants = constants
         self.grid = grid
-        self.x = grid.x_nodes()
         self.y = grid.y_nodes()
-        self.nx = len(self.x)
-        self.ny = len(self.y)
+        self.nx = grid.x_count
+        self.ny = grid.y_count
         _, d_std = cheb_lobatto(self.ny - 1)
         self.dy = (-2.0 / grid.y_max) * d_std
         self.dy2 = self.dy @ self.dy
@@ -334,7 +333,7 @@ class NsStepper:
             u_new, p_new = self.solve_stokes(f_datum, dt)
             gap = float(np.max(np.abs(u_new - guess.velocity)))
             gaps.append(gap)
-            guess = SampledField(self.grid, self.constants, self.x, self.y, u_new, p_new)
+            guess = SampledField(self.grid, self.constants, u_new, p_new)
             if gap < picard_tol:
                 converged = True
                 break

@@ -53,10 +53,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elliptic import dirichlet_extend_mode, neumann_extend_mode
 from .errors import ProfileError, ZeroModeError
 from .profiles import (
     ScalarModeProfile,
     VectorModeProfile,
+    _slowest_decay,
     apply_reflected_exp,
     convolve_abs_exp,
 )
@@ -176,11 +178,7 @@ class KernelApplication:
 def _truncation_bound(
     mode: ModeParams, rhs: ScalarModeProfile, y_grid: np.ndarray, cfg: QuadratureCfg
 ) -> float:
-    rates = [mode.rate_fast.real] + [
-        t.rate.real for t in rhs.terms if t.rate.real > 0.0
-    ]
-    rmin = min(rates)
-    tail = cfg.truncation_multiplier / rmin
+    tail = cfg.truncation_multiplier / _slowest_decay(mode.rate_fast, rhs)
     return float(max(np.max(y_grid), tail) + tail)
 
 
@@ -306,8 +304,6 @@ def oracle_fd_solve(
     alpha: int,
     pressure: ScalarModeProfile,
     n_points: int,
-    y_max: float | None = None,
-    stretch: float = 4.0,
 ) -> FdOracleSolution:
     """Independent second-order finite-difference solve of the kernel problem.
 
@@ -319,9 +315,10 @@ def oracle_fd_solve(
     with the alpha rows at y = 0 (V(0) = 0 for alpha = 0;
     -+ V'(0) - w(0) = 0 for alpha = +-1), the divergence row
     -|xi|^2 V(0) + w'(0) = 0, and homogeneous Dirichlet rows at the
-    truncation boundary.  Discretized by central differences in the mapped
-    coordinate of the exponential grid (uniform second order); boundary
-    derivatives use one-sided second-order stencils.
+    truncation boundary y_max = 25 / min(|xi|, Re m).  Discretized by
+    central differences in the mapped coordinate of the exponential grid
+    of strength 4 (uniform second order); boundary derivatives use
+    one-sided second-order stencils.
     """
     if alpha not in (-1, 0, 1):
         raise ValueError(f"alpha must be in {{-1,0,+1}}, got {alpha}")
@@ -329,9 +326,8 @@ def oracle_fd_solve(
     r = mode.abs_xi
     mu = mode.constants.mu
     omega_sq = mode.omega**2
-    m_re = mode.rate_fast.real
-    if y_max is None:
-        y_max = 25.0 / min(r, m_re)
+    y_max = 25.0 / min(r, mode.rate_fast.real)
+    stretch = 4.0
 
     n = int(n_points)
     ds = 1.0 / (n - 1)
@@ -418,11 +414,7 @@ def _quad_trace(
     spec: KernelSpec, source: ScalarModeProfile, cfg: QuadratureCfg, dy: bool
 ) -> complex:
     """Wall trace of int K(y, .) source at y = 0 (or its d_y) by quadrature."""
-    mode = spec.mode
-    rates = [mode.rate_fast.real] + [
-        t.rate.real for t in source.terms if t.rate.real > 0.0
-    ]
-    upper = cfg.truncation_multiplier / min(rates)
+    upper = cfg.truncation_multiplier / _slowest_decay(spec.mode.rate_fast, source)
     kernel = eval_kernel_dy if dy else eval_kernel
     f = lambda eta: kernel(spec, 0.0, eta) * source(eta)
     val, _, _ = adaptive_integrate(
@@ -437,15 +429,15 @@ def verify_trace_relations(
     relation: str,
     cfg: QuadratureCfg | None = None,
     rel_tol: float = 1.0e-7,
-    datum: complex = 1.0,
 ) -> VerificationReport:
     """Check one closed trace relation against kernel quadrature.
 
-    relation 'T00' (alpha = 0) and 'T10' (alpha = +-1) drive the kernels by
-    the Neumann-extended pressure of the datum (-d_y p(0) = datum) and test
-    multiplier * [what](0) = datum with the beta = 0 trace multiplier.
-    'T11' (any alpha) drives by the Dirichlet extension (p(0) = datum) and
-    tests S^alpha * (-2 mu [d_y what](0) + [p](0)) = datum.
+    The relations are linear in the wall datum, so each is checked at the
+    unit datum.  relation 'T00' (alpha = 0) and 'T10' (alpha = +-1) drive
+    the kernels by the Neumann-extended pressure of the datum
+    (-d_y p(0) = 1) and test multiplier * [what](0) = 1 with the beta = 0
+    trace multiplier.  'T11' (any alpha) drives by the Dirichlet extension
+    (p(0) = 1) and tests S^alpha * (-2 mu [d_y what](0) + [p](0)) = 1.
     """
     if relation not in _RELATION_ALPHAS:
         raise ValueError(f"relation must be one of {sorted(_RELATION_ALPHAS)}")
@@ -454,23 +446,21 @@ def verify_trace_relations(
     if cfg is None:
         cfg = QuadratureCfg()
 
-    from .elliptic import dirichlet_extend_mode, neumann_extend_mode
-
     entries = []
     for mode in modes:
         kw = KernelSpec(_KW_BY_ALPHA[alpha], mode)
         if relation in ("T00", "T10"):
-            pressure = neumann_extend_mode(mode.xi, datum)
+            pressure = neumann_extend_mode(mode.xi, 1.0)
             w0 = -_quad_trace(kw, pressure.derivative(), cfg, dy=False)
             mult = trace_multiplier(mode, BcSpec(alpha, 0))
             recovered = mult * w0
         else:
-            pressure = dirichlet_extend_mode(mode.xi, datum)
+            pressure = dirichlet_extend_mode(mode.xi, 1.0)
             dw0 = -_quad_trace(kw, pressure.derivative(), cfg, dy=True)
             stress = -2.0 * mode.constants.mu * dw0 + pressure(0.0)
             mult = trace_multiplier(mode, BcSpec(alpha, 1))
             recovered = mult * stress
-        rel_error = abs(recovered - datum) / abs(datum)
+        rel_error = abs(recovered - 1.0)
         entries.append(
             {
                 "abs_xi": mode.abs_xi,

@@ -353,10 +353,10 @@ def _convolve_term(m: complex, t: ExpTerm, y_max: float) -> list[ExpTerm]:
     return out
 
 
-def _default_y_max(m: complex, profile: ScalarModeProfile) -> float:
-    rates = [m.real] + [t.rate.real for t in profile.terms if t.rate.real > 0.0]
-    rmin = min(rates)
-    return 40.0 / rmin if rmin > 0.0 else 40.0
+def _slowest_decay(m: complex, profile: ScalarModeProfile) -> float:
+    """Smallest decay rate of a kernel e^{-m y} applied to profile: the least
+    of Re m and the profile's decaying rates."""
+    return min([m.real] + [t.rate.real for t in profile.terms if t.rate.real > 0.0])
 
 
 def convolve_abs_exp(
@@ -371,7 +371,7 @@ def convolve_abs_exp(
     if m.real <= 0.0:
         raise ProfileError(f"kernel rate must decay: Re m = {m.real} <= 0")
     if y_max is None:
-        y_max = _default_y_max(m, profile)
+        y_max = 40.0 / _slowest_decay(m, profile)
     terms: list[ExpTerm] = []
     for t in profile.terms:
         terms.extend(_convolve_term(m, t, y_max))
@@ -397,7 +397,6 @@ def helmholtz_solve_mode(
     rhs: ScalarModeProfile,
     bc_kind: str,
     bc_value: complex = 0.0,
-    y_max: float | None = None,
 ) -> ScalarModeProfile:
     """Solve  a q - b q'' = rhs  on (0, inf), decaying, with one condition at 0.
 
@@ -417,7 +416,7 @@ def helmholtz_solve_mode(
             "(the xi = 0 mode must be handled by its own 1-d routine)"
         )
     m = cmath.sqrt(a / b)
-    q_p = (1.0 / (2.0 * b * m)) * convolve_abs_exp(m, rhs, y_max=y_max)
+    q_p = (1.0 / (2.0 * b * m)) * convolve_abs_exp(m, rhs)
     if bc_kind == "dirichlet":
         c = complex(bc_value) - q_p(0.0)
     elif bc_kind == "neumann":

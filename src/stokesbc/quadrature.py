@@ -104,13 +104,12 @@ def adaptive_integrate(
     rel_tol: float = 1.0e-10,
     max_subdivisions: int = 2000,
     breakpoints: tuple[float, ...] = (),
-    abs_tol: float = 0.0,
 ) -> tuple[complex, float, int]:
     """Integrate f over [a, b] adaptively.
 
     breakpoints seed the initial partition (used to isolate kernel kinks at
     eta = y, where |y - eta| is not smooth).  Stops when the summed |K - G|
-    estimate is below max(rel_tol * |integral|, abs_tol); raises
+    estimate is below rel_tol * |integral|; raises
     QuadratureBudgetError once more than max_subdivisions bisections were
     spent.  Returns (value, error_estimate, intervals_used).
     """
@@ -127,7 +126,7 @@ def adaptive_integrate(
         counter += 1
 
     n_subdivisions = 0
-    while total_err > max(rel_tol * abs(total), abs_tol):
+    while total_err > rel_tol * abs(total):
         if n_subdivisions >= max_subdivisions:
             raise QuadratureBudgetError(
                 f"adaptive quadrature spent {n_subdivisions} subdivisions without "

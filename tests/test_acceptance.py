@@ -109,7 +109,7 @@ def test_criterion_03_fd_oracle_convergence():
 
         errs, oracles = [], {}
         for n in (129, 257, 513):
-            orc = oracle_fd_solve(mode, alpha, pressure, n, y_max=25.0, stretch=4.0)
+            orc = oracle_fd_solve(mode, alpha, pressure, n)
             oracles[n] = orc
             errs.append(np.max(np.abs(stacked(orc) - closed_on(orc.y))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -149,7 +149,7 @@ def test_criterion_05_splitting_round_trip():
         mode = draw_mode(rng)
         for bc in ALL_BCS:  # normal families beta = 0, +1, -1 all covered
             made = manufacture_solution(mode, bc, rng)
-            f, g, h_w = forward_data(made, require_zero_tangential=True, tol=1e-7)
+            f, g, h_w = forward_data(made, tol=1e-7)
             recovered = splitting_solve_mode(mode, bc, f, g, h_w)
             gap = solution_sup_gap(made, recovered, y)
             assert gap < 1e-8, f"{bc}: sup-gap {gap:.3e}"

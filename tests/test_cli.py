@@ -86,6 +86,34 @@ def test_negative_tolerance_rejected(runner, tmp_path):
     assert "identity_tol" in result.output
 
 
+@pytest.mark.parametrize(
+    "verb, config, named",
+    [
+        ("solve", {"grid": {"x_count": 0}}, "grid.x_count"),
+        ("solve", {"grid": {"y_count": 1}}, "grid.y_count"),
+        ("solve", {"grid": {"y_kind": "hex"}}, "grid.y_kind"),
+        ("solve", {"grid": {"y_max": 0}}, "grid.y_max"),
+        ("solve", {"grid": {"y_kind": "graded"}}, "y_grading"),
+        ("solve", {"grid": {"y_grading": 3.0}}, "y_grading"),
+        ("solve", {"constants": {"rho": 0}}, "constants.rho"),
+        ("solve", {"bc": {"alpha": 2}}, "bc.alpha"),
+        ("solve", {"modes": [{"k": 0}]}, "modes[0].k"),
+        ("solve", {"lambda": {"re": "x"}}, "lambda"),
+        ("energy-audit", {"bcs": [{"alpha": 5, "beta": 0}]}, "bcs[0]"),
+        ("energy-audit", {"n_trials": 0}, "n_trials"),
+        ("run-ns", {"grid": {"y_kind": "uniform"}}, "grid.y_kind"),
+        ("run-ns", {"dt": -1}, "dt"),
+        ("verify-traces", {"relations": ["T99"]}, "T99"),
+        ("verify-symbols", {"rho_range": [1, 0.1]}, "rho_range"),
+    ],
+)
+def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, named):
+    result, _ = invoke(runner, verb, tmp_path, config)
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert named in result.output
+
+
 def test_single_mode_smoke_emits_one_row(runner, tmp_path):
     result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1})
     assert result.exit_code == 0, result.output

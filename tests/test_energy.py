@@ -54,7 +54,7 @@ def test_kinetic_energy_quadratic_and_positive():
     e = kinetic_energy(field)
     assert e > 0.0
     doubled = type(field)(
-        field.grid, field.constants, field.x, field.y, 2.0 * field.velocity, field.pressure
+        field.grid, field.constants, 2.0 * field.velocity, field.pressure
     )
     assert kinetic_energy(doubled) == pytest.approx(4.0 * e, rel=1e-12)
 
@@ -64,7 +64,7 @@ def test_dissipation_nonnegative():
     assert dissipation(field, form="S") > 0.0
     assert dissipation(field, form="T") > 0.0
     zero = type(field)(
-        field.grid, field.constants, field.x, field.y, 0.0 * field.velocity, field.pressure
+        field.grid, field.constants, 0.0 * field.velocity, field.pressure
     )
     assert dissipation(zero) == 0.0
 
@@ -149,7 +149,7 @@ def _field(grid, u_x, u_y, constants=CONSTANTS):
     x, y = grid.x_nodes(), grid.y_nodes()
     xx, yy = np.meshgrid(x, y, indexing="ij")
     u = np.stack((u_x(xx, yy), u_y(xx, yy)))
-    return SampledField(grid, constants, x, y, u, np.zeros(xx.shape))
+    return SampledField(grid, constants, u, np.zeros(xx.shape))
 
 
 @pytest.mark.parametrize("nx", [9, 8])

@@ -74,7 +74,7 @@ def test_forward_data_recovers_interior_forcing(seed, bc):
     rng = np.random.default_rng(seed)
     mode = draw_mode(rng)
     made = manufacture_solution(mode, bc, rng)
-    f, g, h_w = forward_data(made, require_zero_tangential=True, tol=1e-7)
+    f, g, h_w = forward_data(made, tol=1e-7)
     rho = mode.constants.rho
     # rho f = omega^2 u - mu u'' + grad p, g = div u, h_w = the normal row
     resid = made.momentum_residual()
@@ -92,7 +92,7 @@ def test_forward_data_rejects_inhomogeneous_tangential_row():
     p = ScalarModeProfile(mode.xi, [(0.2, 1.5, 0)])
     bad = ModeSolution(mode, BcSpec(0, 0), VectorModeProfile(mode.xi, (v,), w), p)
     with pytest.raises(ProfileError, match="tangential"):
-        forward_data(bad, require_zero_tangential=True, tol=1e-9)
+        forward_data(bad, tol=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_BCS))
@@ -100,7 +100,7 @@ def test_splitting_round_trip(seed, bc):
     rng = np.random.default_rng(seed)
     mode = draw_mode(rng)
     made = manufacture_solution(mode, bc, rng)
-    f, g, h_w = forward_data(made, require_zero_tangential=True, tol=1e-7)
+    f, g, h_w = forward_data(made, tol=1e-7)
     recovered = splitting_solve_mode(mode, bc, f, g, h_w)
     y = np.linspace(0.0, 20.0, 81)
     assert solution_sup_gap(made, recovered, y) < 1e-8
@@ -140,6 +140,17 @@ def test_grid_spec_validation_and_wavenumber():
     assert grid.wavenumber(3) == pytest.approx(1.5)
 
 
+def test_grid_spec_grades_only_the_graded_kind():
+    with pytest.raises(ValueError, match="y_grading"):
+        GridSpec(2 * np.pi, 8, 8.0, 5, y_grading=3.0)
+    with pytest.raises(ValueError, match="y_grading"):
+        GridSpec(2 * np.pi, 8, 8.0, 5, y_kind="graded")
+    uniform = GridSpec(2 * np.pi, 8, 8.0, 5)
+    assert np.array_equal(uniform.y_nodes(), np.linspace(0.0, 8.0, 5))
+    graded = GridSpec(2 * np.pi, 8, 8.0, 5, y_grading=3.0, y_kind="graded")
+    assert np.array_equal(graded.y_nodes(), graded_grid(8.0, 5, 3.0))
+
+
 def synthesized_field(tmp_path=None):
     constants = FluidConstants(1.0, 1.0, 1.0)
     grid = GridSpec(2.0 * np.pi, 16, 8.0, 33)
@@ -154,6 +165,24 @@ def test_synthesize_field_is_real_and_shaped():
     assert field.pressure.shape == (16, 33)
     assert field.velocity.dtype.kind == "f"
     assert np.max(np.abs(field.velocity)) > 0.0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_synthesize_field_rejects_harmonics_below_one(k):
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, 16, 8.0, 33)
+    mode = derive_mode(constants, 0.5j, (grid.wavenumber(k),))
+    sol = solve_mode(mode, BcSpec(0, 1), 1.0)
+    with pytest.raises(ValueError, match=">= 1"):
+        synthesize_field(constants, {k: sol}, grid)
+
+
+def test_sampled_field_nodes_come_from_the_grid():
+    field = synthesized_field()
+    assert np.array_equal(field.x, field.grid.x_nodes())
+    assert np.array_equal(field.y, field.grid.y_nodes())
+    # computed once: the CSV writer reads y once per row
+    assert field.y is field.y
 
 
 def test_field_csv_round_trip(tmp_path):

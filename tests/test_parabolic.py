@@ -129,8 +129,8 @@ def test_kernel_route_velocity_contract(seed, alpha):
 def test_fd_oracle_grids_nest_and_rows_hold():
     mode = derive_mode(standard_mode().constants, 0.3j, (1.0,))
     pressure = dirichlet_extend_mode(mode.xi, 1.0 + 0.5j)
-    coarse = oracle_fd_solve(mode, 1, pressure, 129, y_max=25.0, stretch=4.0)
-    fine = oracle_fd_solve(mode, 1, pressure, 257, y_max=25.0, stretch=4.0)
+    coarse = oracle_fd_solve(mode, 1, pressure, 129)
+    fine = oracle_fd_solve(mode, 1, pressure, 257)
     assert np.allclose(fine.y[::2], coarse.y, rtol=0.0, atol=1e-12)
     assert coarse.y[0] == 0.0 and coarse.y[-1] == pytest.approx(25.0)
     # truncation rows are homogeneous Dirichlet
@@ -142,7 +142,7 @@ def test_fd_oracle_tracks_kernel_route():
     mode = derive_mode(standard_mode().constants, 0.3j, (1.0,))
     pressure = dirichlet_extend_mode(mode.xi, 1.0 + 0.5j)
     closed = parabolic_solve_mode(mode, 0, pressure, "dirichlet")
-    orc = oracle_fd_solve(mode, 0, pressure, 257, y_max=25.0, stretch=4.0)
+    orc = oracle_fd_solve(mode, 0, pressure, 257)
     got = np.vstack([orc.v_tangential, orc.w[None, :]])
     want = np.vstack(
         [[t(orc.y) for t in closed.tangential], closed.normal(orc.y)[None, :]]
