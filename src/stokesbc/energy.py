@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError
-from .grids import diff_matrix, trapezoid_weights
 from .halfspace import SampledField
 from .symbols import BcSpec
 
@@ -71,25 +70,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _y_derivative_matrix(y: np.ndarray) -> np.ndarray:
-    return diff_matrix(y, deriv=1, npts=min(5, len(y)))
-
-
-def _velocity_gradient(field: SampledField, dmat: np.ndarray | None = None) -> np.ndarray:
+def _velocity_gradient(field: SampledField) -> np.ndarray:
     """grad[i, j] = d_i u_j of the sampled velocity, shape (2, 2, nx, ny).
 
     x is differentiated spectrally (periodic), both components in one
-    rfft/irfft pair; y by dmat, default the 5-point stencils.
+    rfft/irfft pair; y by the grid's y_derivative.
     """
     u = field.velocity
     nx = u.shape[1]
-    if dmat is None:
-        dmat = _y_derivative_matrix(field.y)
     spec = np.fft.rfft(u, axis=1)
     spec *= (1j * field.grid.wavenumbers())[:, None]
     if nx % 2 == 0:
         spec[:, -1] = 0.0  # drop the unpaired Nyquist mode from the derivative
-    return np.stack((np.fft.irfft(spec, n=nx, axis=1), u @ dmat.T))
+    return np.stack((np.fft.irfft(spec, n=nx, axis=1), u @ field.grid.y_derivative.T))
 
 
 @dataclass(frozen=True)
@@ -125,25 +118,20 @@ def tensors(field: SampledField) -> TensorField:
     )
 
 
-def _weights(field: SampledField) -> tuple[float, np.ndarray]:
-    wx = field.grid.x_length / len(field.x)
-    return wx, trapezoid_weights(field.y)
-
-
 def kinetic_energy(field: SampledField) -> float:
-    """E = int rho |u|^2 / 2 over the strip."""
-    wx, wy = _weights(field)
+    """E = int rho |u|^2 / 2 over the strip, with the grid's quadrature."""
+    grid = field.grid
     dens = 0.5 * field.constants.rho * np.sum(field.velocity**2, axis=0)
-    return float(wx * np.sum(dens @ wy))
+    return float(grid.x_weight * np.sum(dens @ grid.y_weights))
 
 
 def dissipation(field: SampledField, form: str = "S", tensor: TensorField | None = None) -> float:
     """2 mu int |D|^2 (form 'S') or 2 mu int |R|^2 (form 'T')."""
     t = tensor if tensor is not None else tensors(field)
     rate = t.sym if _check_form(form) == "S" else t.antisym
-    wx, wy = _weights(field)
+    grid = field.grid
     dens = np.sum(rate**2, axis=(0, 1))
-    return float(2.0 * field.constants.mu * wx * np.sum(dens @ wy))
+    return float(2.0 * field.constants.mu * grid.x_weight * np.sum(dens @ grid.y_weights))
 
 
 def _check_form(form: str) -> str:
@@ -171,19 +159,18 @@ def boundary_power(
     t = tensor if tensor is not None else tensors(field)
     stress = t.stress_sym if _check_form(form) == "S" else t.stress_antisym
     j, nu_y = _face(field, face)
-    wx = field.grid.x_length / len(field.x)
     # (nu^T X)_c = nu_y * X[y, c]
     integrand = sum(
         field.velocity[c, :, j] * nu_y * stress[1, c, :, j] for c in range(2)
     )
-    return float(wx * np.sum(integrand))
+    return float(field.grid.x_weight * np.sum(integrand))
 
 
 def convective_flux(field: SampledField, face: str = "wall") -> float:
     """int rho/2 |u|^2 (u . nu) dx over the chosen horizontal face."""
     j, nu_y = _face(field, face)
     speed_sq = np.sum(field.velocity[:, :, j] ** 2, axis=0)
-    wx = field.grid.x_length / len(field.x)
+    wx = field.grid.x_weight
     return float(
         0.5 * field.constants.rho * wx * np.sum(speed_sq * nu_y * field.velocity[1, :, j])
     )
@@ -225,8 +212,11 @@ def energy_balance_residual(
 
     series is a sequence of at least three SampledField snapshots spaced dt
     apart on a common grid.  The time derivative is the centered difference,
-    so with second-order space discretization the residual of an exact
-    solution is O(dt^2 + h^2).  Raises AuditError when the truncation face
+    and space uses the grid's own calculus (GridSpec.y_derivative and
+    y_weights).  On 'uniform' and 'graded' grids the trapezoid rule makes
+    the space error second order, so the residual of an exact solution is
+    O(dt^2 + h^2); on 'cheb' grids the space error is spectrally small and
+    the residual is O(dt^2).  Raises AuditError when the truncation face
     y = y_max carries boundary power above 1e-8 of the audit scale (the
     balance then has no business being checked on this window).
     """

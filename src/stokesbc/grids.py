@@ -9,7 +9,8 @@ the *map* fixed, which is what clean Richardson/order studies require.
 fd_weights implements the standard recursive computation of finite-difference
 weights on arbitrary nodes (Fornberg's algorithm); diff_matrix assembles
 dense differentiation matrices from sliding stencils.  cheb_lobatto returns
-Chebyshev-Gauss-Lobatto points with the usual dense collocation derivative.
+Chebyshev-Gauss-Lobatto points with the usual dense collocation derivative,
+and clenshaw_curtis_weights the quadrature weights on the same points.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "diff_matrix",
     "trapezoid_weights",
     "cheb_lobatto",
+    "clenshaw_curtis_weights",
 ]
 
 
@@ -110,3 +112,21 @@ def cheb_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
     d -= np.diag(d.sum(axis=1))
     return x, d
+
+
+def clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on [-1, 1] at the cheb_lobatto(n) nodes,
+    from the closed form (Waldvogel, BIT 46, 2006)
+
+        w_j = (c_j / n) (1 - sum_{k=1}^{n/2} b_k cos(2 k j pi / n) / (4 k^2 - 1)),
+
+    with c_j = 1 at the two ends and 2 inside, b_k = 1 for k = n/2 and 2
+    otherwise.  The rule is exact for polynomials of degree n."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    theta = np.pi * np.arange(n + 1) / n
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    w = (2.0 / n) * (1.0 - np.cos(2.0 * np.outer(theta, k)) @ b)
+    w[[0, -1]] *= 0.5
+    return w

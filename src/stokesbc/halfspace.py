@@ -59,7 +59,13 @@ from .elliptic import (
     solve_elliptic_mode,
 )
 from .errors import ProfileError, ZeroModeError
-from .grids import graded_grid
+from .grids import (
+    cheb_lobatto,
+    clenshaw_curtis_weights,
+    diff_matrix,
+    graded_grid,
+    trapezoid_weights,
+)
 from .profiles import (
     ScalarModeProfile,
     VectorModeProfile,
@@ -379,6 +385,13 @@ class GridSpec:
     selected by y_kind: 'uniform', 'graded' (exponential map of strength
     y_grading > 0), or 'cheb' (Chebyshev-Lobatto points mapped to [0, y_max],
     wall first).  y_grading is 0 for the other kinds.
+
+    The grid kind also fixes the calculus every sampled field on the grid
+    uses.  y_derivative is the Chebyshev collocation matrix for 'cheb' and
+    the 5-point diff_matrix stencils otherwise; y_weights are Clenshaw-Curtis
+    weights for 'cheb' and trapezoid weights otherwise; x_weight is the
+    periodic rectangle rule's x_length / x_count.  The two arrays are built
+    on first use and are read-only.
     """
 
     x_length: float
@@ -422,6 +435,29 @@ class GridSpec:
         if self.y_kind == "graded":
             return graded_grid(self.y_max, self.y_count, self.y_grading)
         return np.linspace(0.0, self.y_max, self.y_count)
+
+    @cached_property
+    def y_derivative(self) -> np.ndarray:
+        if self.y_kind == "cheb":
+            # y = y_max (1 - x) / 2 on the descending Lobatto nodes x
+            d = (-2.0 / self.y_max) * cheb_lobatto(self.y_count - 1)[1]
+        else:
+            d = diff_matrix(self.y_nodes(), 1, npts=5)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def y_weights(self) -> np.ndarray:
+        if self.y_kind == "cheb":
+            w = 0.5 * self.y_max * clenshaw_curtis_weights(self.y_count - 1)
+        else:
+            w = trapezoid_weights(self.y_nodes())
+        w.flags.writeable = False
+        return w
+
+    @property
+    def x_weight(self) -> float:
+        return self.x_length / self.x_count
 
     def wavenumber(self, k: int) -> float:
         return 2.0 * math.pi * k / self.x_length

@@ -55,7 +55,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .energy import _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
-from .grids import cheb_lobatto, diff_matrix
+from .grids import diff_matrix
 from .halfspace import GridSpec, SampledField, solve_mode
 from .symbols import BcSpec, FluidConstants, derive_mode
 
@@ -111,23 +111,21 @@ def _ddx_fd(arr: np.ndarray, x_length: float) -> np.ndarray:
     return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * h)
 
 
-def nonlinearity(
-    field: SampledField, method: str = "spectral", ddy: np.ndarray | None = None
-) -> np.ndarray:
+def nonlinearity(field: SampledField, method: str = "spectral") -> np.ndarray:
     """-(u . grad) u on the grid, shape (2, nx, ny).
 
-    method 'spectral' differentiates x by FFT and y by 5-point stencils
-    (or a supplied derivative matrix); method 'fd' uses second-order
+    method 'spectral' differentiates x by FFT and y by the grid's
+    y_derivative (Chebyshev on a 'cheb' grid); method 'fd' uses second-order
     central differences in both directions, as an independent cross-check.
     No density factor is applied: the result is the acceleration datum the
     stepper adds to f.
     """
     u = field.velocity
     if method == "spectral":
-        g = _velocity_gradient(field, ddy)
+        g = _velocity_gradient(field)
     elif method == "fd":
-        dmat = diff_matrix(field.y, 1, npts=min(3, len(field.y)))
-        g = np.stack(([_ddx_fd(c, field.grid.x_length) for c in u], u @ dmat.T))
+        stencil = diff_matrix(field.y, 1, npts=min(3, len(field.y)))
+        g = np.stack(([_ddx_fd(c, field.grid.x_length) for c in u], u @ stencil.T))
     else:
         raise ValueError(f"method must be 'spectral' or 'fd', got {method!r}")
     return -(u[0] * g[0] + u[1] * g[1])
@@ -219,8 +217,7 @@ class NsStepper:
         self.y = grid.y_nodes()
         self.nx = grid.x_count
         self.ny = grid.y_count
-        _, d_std = cheb_lobatto(self.ny - 1)
-        self.dy = (-2.0 / grid.y_max) * d_std
+        self.dy = grid.y_derivative
         self.dy2 = self.dy @ self.dy
         self.n_modes = self.nx // 2 + 1
         self.xi = grid.wavenumbers()
@@ -329,7 +326,7 @@ class NsStepper:
         converged = False
         u_new, p_new = u_old, state.field.pressure
         for _ in range(picard_max):
-            f_datum = u_old / dt + f_ext + nonlinearity(guess, ddy=self.dy)
+            f_datum = u_old / dt + f_ext + nonlinearity(guess)
             u_new, p_new = self.solve_stokes(f_datum, dt)
             gap = float(np.max(np.abs(u_new - guess.velocity)))
             gaps.append(gap)
@@ -338,7 +335,7 @@ class NsStepper:
                 converged = True
                 break
 
-        g = _velocity_gradient(guess, self.dy)
+        g = _velocity_gradient(guess)
         div = g[0, 0] + g[1, 1]
         new_field = guess
         new_state = NsState(time=t_next, field=new_field)

@@ -18,6 +18,7 @@ from stokesbc import (
     FluidConstants,
     GridSpec,
     InvalidModeError,
+    NsStepper,
     ProfileError,
     canonical_json,
     derive_mode,
@@ -31,6 +32,7 @@ from stokesbc import (
     write_field_csv,
     write_manifest,
 )
+from stokesbc.grids import diff_matrix, trapezoid_weights
 from stokesbc.halfspace import ModeSolution, graded_grid
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 
@@ -149,6 +151,40 @@ def test_grid_spec_grades_only_the_graded_kind():
     assert np.array_equal(uniform.y_nodes(), np.linspace(0.0, 8.0, 5))
     graded = GridSpec(2 * np.pi, 8, 8.0, 5, y_grading=3.0, y_kind="graded")
     assert np.array_equal(graded.y_nodes(), graded_grid(8.0, 5, 3.0))
+
+
+def test_cheb_grid_calculus_is_spectral():
+    grid = GridSpec(2 * np.pi, 8, 16.0, 33, y_kind="cheb")
+    y, w = grid.y_nodes(), grid.y_weights
+    assert abs(w @ np.exp(-y) - (1.0 - np.exp(-16.0))) < 1e-14
+    assert w.sum() == pytest.approx(16.0, rel=1e-14)
+    slope = grid.y_derivative @ y**3
+    assert np.max(np.abs(slope - 3.0 * y**2)) < 1e-12 * 3.0 * 16.0**2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(2 * np.pi, 8, 8.0, 33),
+        GridSpec(2 * np.pi, 8, 8.0, 33, y_grading=3.0, y_kind="graded"),
+    ],
+    ids=["uniform", "graded"],
+)
+def test_stencil_grid_calculus_is_trapezoid_and_five_point(grid):
+    y = grid.y_nodes()
+    assert np.array_equal(grid.y_weights, trapezoid_weights(y))
+    assert np.array_equal(grid.y_derivative, diff_matrix(y, 1, npts=5))
+    assert grid.x_weight == grid.x_length / len(grid.x_nodes())
+
+
+def test_grid_calculus_is_cached_and_read_only():
+    grid = GridSpec(2 * np.pi, 8, 12.0, 17, y_kind="cheb")
+    stepper = NsStepper(FluidConstants(1.0, 1.0, 1.0), grid)
+    assert stepper.dy is grid.y_derivative
+    assert grid.y_weights is grid.y_weights
+    for cached in (grid.y_derivative, grid.y_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
 
 
 def synthesized_field(tmp_path=None):

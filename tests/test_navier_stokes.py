@@ -12,7 +12,10 @@ from stokesbc import (
     GridSpec,
     InvalidModeError,
     NsStepper,
+    SampledField,
+    boundary_power,
     derive_mode,
+    dissipation,
     kinetic_energy,
     nonlinearity,
     run_simulation,
@@ -44,8 +47,8 @@ def test_stream_function_wall_trace():
 
 
 def test_nonlinearity_methods_cross_check():
-    # spectral-x/stencil-y versus plain central differences: the mismatch is
-    # x-truncation dominated and falls off at second order in nx
+    # spectral-x/Chebyshev-y versus plain central differences: the mismatch
+    # is x-truncation dominated and falls off at second order in nx
     mismatches = []
     for nx in (16, 32):
         grid = GridSpec(2.0 * np.pi, nx, 12.0, 193, y_kind="cheb")
@@ -102,6 +105,32 @@ def test_run_simulation_completes_and_decays():
     # keep_states defaults to True: one state per accepted step
     assert len(result.states) == 6
     assert result.states[-1].time == pytest.approx(0.1)
+
+
+def test_backward_euler_energy_identity_on_the_stepper_grid():
+    # Dotting a backward-Euler step with u_n and integrating gives
+    # (E_n - E_{n-1})/dt + rho |u_n - u_{n-1}|^2/(2 dt) + 2 mu |D u_n|^2
+    # - (wall power) = 0, since the convective term integrates to zero for a
+    # no-slip, divergence-free field.  The library's functionals close it to
+    # round-off only with the stepper's own y-derivative and y-quadrature.
+    grid = cheb_grid(nx=16, ny=129, y_max=16.0)
+    dt = 0.02
+    result = run_simulation(
+        NsStepper(CONSTANTS, grid), small_field(grid), dt=dt, n_steps=50, keep_states=True
+    )
+    assert result.status == "completed" and result.dt_halvings == 0
+    fields = [s.field for s in result.states]
+    worst = worst_without_increment = 0.0
+    for old, new in zip(fields, fields[1:]):
+        step = SampledField(grid, CONSTANTS, new.velocity - old.velocity, new.pressure)
+        diss = dissipation(new)
+        balance = (kinetic_energy(new) - kinetic_energy(old)) / dt + diss - boundary_power(new)
+        increment = kinetic_energy(step) / dt
+        worst = max(worst, abs(balance + increment) / diss)
+        worst_without_increment = max(worst_without_increment, abs(balance) / diss)
+    assert worst < 1e-9
+    # the increment term is what closes the balance: the check is not vacuous
+    assert worst_without_increment > 1e-3
 
 
 def test_run_simulation_drops_states_when_asked():
