@@ -500,6 +500,7 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
             max_err = worst_rep.max_rel_error
             passed = max_err < cfg["rel_tol"]
             all_passed = all_passed and passed
+            intervals = [n for _, rep in parts for n in rep.intervals]
             sections.append(
                 {
                     "relation": relation,
@@ -508,6 +509,16 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
                     "max_rel_error": max_err,
                     "worst_mode": worst_rep.worst,
                     "passed": passed,
+                    "counters": {
+                        "quadrature_intervals": {
+                            "sum": sum(intervals),
+                            "min": min(intervals),
+                            "max": max(intervals),
+                        },
+                        "panel_evals": sum(rep.panel_evals for _, rep in parts),
+                        "adaptive_rounds": sum(rep.rounds for _, rep in parts),
+                        "zero_values": sum(rep.zero_values for _, rep in parts),
+                    },
                 }
             )
 

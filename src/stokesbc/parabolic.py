@@ -53,17 +53,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import dirichlet_extend_mode, neumann_extend_mode
 from .errors import ProfileError, ZeroModeError
 from .profiles import (
     ScalarModeProfile,
     VectorModeProfile,
-    _slowest_decay,
     apply_reflected_exp,
     convolve_abs_exp,
 )
-from .quadrature import QuadratureCfg, adaptive_integrate
-from .symbols import BcSpec, ModeParams, trace_multiplier
+from .quadrature import QuadratureCfg, adaptive_integrate, adaptive_integrate_stack
+from .symbols import BcSpec, ModeBatch, ModeParams, trace_multiplier
 
 __all__ = [
     "KernelSpec",
@@ -94,8 +92,9 @@ class KernelSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
 
-def kernel_weight(kind: str, mode: ModeParams) -> complex:
-    """Weight c on G_- in K = (1-c) G_+ + c G_- for the given kernel kind."""
+def kernel_weight(kind: str, mode: ModeParams | ModeBatch):
+    """Weight c on G_- in K = (1-c) G_+ + c G_- for the given kernel kind
+    (per mode, for a ModeBatch)."""
     omega = mode.omega
     az = mode.abs_zeta
     if kind == "G":
@@ -115,39 +114,47 @@ def kernel_weight(kind: str, mode: ModeParams) -> complex:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _image_coefficient(kind: str, mode: ModeParams) -> complex:
+def _image_coefficient(kind: str, mode: ModeParams | ModeBatch):
     """R in K = G + R Gr (Gr the image kernel); R = 1 - 2c."""
     return 1.0 - 2.0 * kernel_weight(kind, mode)
 
 
-def _prefactor(mode: ModeParams) -> complex:
-    return 1.0 / (2.0 * math.sqrt(mode.constants.mu) * mode.omega)
+def _prefactor(mode: ModeParams | ModeBatch):
+    return 1.0 / (2.0 * mode.sqmu * mode.omega)
+
+
+def _kernel_values(m, r, pref, y, eta, dy: bool):
+    """pref (e^{-m|y-eta|} + r e^{-m(y+eta)}), or its d/dy (the |y - eta|
+    kink contributes sign(y - eta)); the arguments broadcast."""
+    base = np.exp(-m * np.abs(y - eta))
+    refl = np.exp(-m * (y + eta))
+    if dy:
+        base = -m * np.sign(y - eta) * base
+        refl = -m * refl
+    return pref * (base + r * refl)
+
+
+def _eval(spec: KernelSpec, y, eta, dy: bool):
+    mode = spec.mode
+    out = _kernel_values(
+        mode.rate_fast,
+        _image_coefficient(spec.kind, mode),
+        _prefactor(mode),
+        np.asarray(y, dtype=float),
+        np.asarray(eta, dtype=float),
+        dy,
+    )
+    return out if out.shape else complex(out)
 
 
 def eval_kernel(spec: KernelSpec, y, eta):
     """Evaluate the kernel pointwise (vectorized over y/eta broadcasts)."""
-    mode = spec.mode
-    m = mode.rate_fast
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    base = np.exp(-m * np.abs(y - eta))
-    refl = np.exp(-m * (y + eta))
-    r = _image_coefficient(spec.kind, mode)
-    out = _prefactor(mode) * (base + r * refl)
-    return out if out.shape else complex(out)
+    return _eval(spec, y, eta, dy=False)
 
 
 def eval_kernel_dy(spec: KernelSpec, y, eta):
     """d/dy of the kernel (the |y - eta| kink contributes sign(y - eta))."""
-    mode = spec.mode
-    m = mode.rate_fast
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    base = -m * np.sign(y - eta) * np.exp(-m * np.abs(y - eta))
-    refl = -m * np.exp(-m * (y + eta))
-    r = _image_coefficient(spec.kind, mode)
-    out = _prefactor(mode) * (base + r * refl)
-    return out if out.shape else complex(out)
+    return _eval(spec, y, eta, dy=True)
 
 
 def _kernel_closed_form(
@@ -175,11 +182,19 @@ class KernelApplication:
     error_estimate: float
 
 
+def _decay_sum(m: complex, rhs: ScalarModeProfile) -> float:
+    """Decay rate of e^{-m eta} rhs(eta): Re m plus the slowest decaying
+    rate of rhs.  Past eta = y the kernel factor is e^{-m (eta -+ y)}, so the
+    integrand falls off at the sum of the two rates, not at the smaller one."""
+    rates = [t.rate.real for t in rhs.terms if t.rate.real > 0.0]
+    return m.real + min(rates, default=0.0)
+
+
 def _truncation_bound(
     mode: ModeParams, rhs: ScalarModeProfile, y_grid: np.ndarray, cfg: QuadratureCfg
 ) -> float:
-    tail = cfg.truncation_multiplier / _slowest_decay(mode.rate_fast, rhs)
-    return float(max(np.max(y_grid), tail) + tail)
+    tail = cfg.truncation_multiplier / _decay_sum(mode.rate_fast, rhs)
+    return float(np.max(y_grid)) + tail
 
 
 def apply_kernel(
@@ -191,9 +206,10 @@ def apply_kernel(
     """Tabulate int_0^inf K(y, eta) rhs(eta) d eta on y_grid.
 
     Each point is integrated adaptively with a breakpoint at eta = y (the
-    kernel kink); the domain is truncated where the integrand has decayed by
-    e^{-truncation_multiplier}.  The closed-form exponential-sum result is
-    computed alongside and the maximal relative disagreement reported.
+    kernel kink); the domain is truncated past max(y_grid) where the integrand
+    has decayed by e^{-truncation_multiplier} (see _decay_sum).  The
+    closed-form exponential-sum result is computed alongside and the maximal
+    relative disagreement reported.
     """
     if cfg is None:
         cfg = QuadratureCfg()
@@ -393,7 +409,13 @@ _RELATION_ALPHAS = {"T00": (0,), "T10": (1, -1), "T11": (0, 1, -1)}
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a trace-relation sweep."""
+    """Outcome of a trace-relation sweep.
+
+    intervals holds each mode's final quadrature partition size (parallel to
+    entries); panel_evals, rounds and zero_values count the GK15 panels
+    evaluated, the refinement rounds of the stacked quadrature and the modes
+    whose quadrature returned exactly 0.
+    """
 
     relation: str
     alpha: int
@@ -402,6 +424,10 @@ class VerificationReport:
     max_rel_error: float
     passed: bool
     entries: tuple[dict, ...] = field(repr=False, default=())
+    intervals: tuple[int, ...] = field(repr=False, default=())
+    panel_evals: int = 0
+    rounds: int = 0
+    zero_values: int = 0
 
     @property
     def worst(self) -> dict:
@@ -410,17 +436,39 @@ class VerificationReport:
         return max(self.entries, key=lambda e: e["rel_error"])
 
 
-def _quad_trace(
-    spec: KernelSpec, source: ScalarModeProfile, cfg: QuadratureCfg, dy: bool
-) -> complex:
-    """Wall trace of int K(y, .) source at y = 0 (or its d_y) by quadrature."""
-    upper = cfg.truncation_multiplier / _slowest_decay(spec.mode.rate_fast, source)
-    kernel = eval_kernel_dy if dy else eval_kernel
-    f = lambda eta: kernel(spec, 0.0, eta) * source(eta)
-    val, _, _ = adaptive_integrate(
-        f, 0.0, upper, rel_tol=cfg.rel_tol, max_subdivisions=cfg.max_subdivisions
+def _unit_datum_source(batch: ModeBatch, dirichlet: bool):
+    """(amp, rate) with d_y p = amp e^{-rate y} for the unit-datum harmonic
+    pressure p: the ModeBatch form of dirichlet_extend_mode(xi, 1) (p(0) = 1)
+    or neumann_extend_mode(xi, 1) (-d_y p(0) = 1), differentiated."""
+    rate = batch.abs_xi
+    datum = np.ones(batch.size) if dirichlet else 1.0 / rate
+    return -datum * rate, rate
+
+
+def _wall_traces(batch: ModeBatch, kind: str, dirichlet: bool, cfg: QuadratureCfg):
+    """Stacked quadrature of int K(0, eta) p'(eta) d eta per mode (of d_y K
+    for a Dirichlet datum), each on [0, T / (Re m + |xi|)]: the kernel's wall
+    row decays at Re m and the source at |xi|, so the integrand decays at
+    their sum (T the truncation multiplier)."""
+    m = batch.rate_fast
+    r = np.broadcast_to(_image_coefficient(kind, batch), m.shape)
+    pref = _prefactor(batch)
+    amp, rate = _unit_datum_source(batch, dirichlet)
+
+    def integrand(rows, eta):
+        kernel = _kernel_values(
+            m[rows, None], r[rows, None], pref[rows, None], 0.0, eta, dirichlet
+        )
+        return kernel * (amp[rows, None] * np.exp(-rate[rows, None] * eta))
+
+    upper = cfg.truncation_multiplier / (m.real + rate)
+    return adaptive_integrate_stack(
+        integrand,
+        np.zeros(batch.size),
+        upper,
+        rel_tol=cfg.rel_tol,
+        max_subdivisions=cfg.max_subdivisions,
     )
-    return val
 
 
 def verify_trace_relations(
@@ -438,6 +486,7 @@ def verify_trace_relations(
     (-d_y p(0) = 1) and test multiplier * [what](0) = 1 with the beta = 0
     trace multiplier.  'T11' (any alpha) drives by the Dirichlet extension
     (p(0) = 1) and tests S^alpha * (-2 mu [d_y what](0) + [p](0)) = 1.
+    All modes are integrated as one stack (adaptive_integrate_stack).
     """
     if relation not in _RELATION_ALPHAS:
         raise ValueError(f"relation must be one of {sorted(_RELATION_ALPHAS)}")
@@ -445,35 +494,35 @@ def verify_trace_relations(
         raise ValueError(f"relation {relation} does not apply to alpha = {alpha}")
     if cfg is None:
         cfg = QuadratureCfg()
+    modes = list(modes)
+    if not modes:
+        return VerificationReport(relation, alpha, rel_tol, 0, 0.0, True)
 
-    entries = []
-    for mode in modes:
-        kw = KernelSpec(_KW_BY_ALPHA[alpha], mode)
-        if relation in ("T00", "T10"):
-            pressure = neumann_extend_mode(mode.xi, 1.0)
-            w0 = -_quad_trace(kw, pressure.derivative(), cfg, dy=False)
-            mult = trace_multiplier(mode, BcSpec(alpha, 0))
-            recovered = mult * w0
-        else:
-            pressure = dirichlet_extend_mode(mode.xi, 1.0)
-            dw0 = -_quad_trace(kw, pressure.derivative(), cfg, dy=True)
-            stress = -2.0 * mode.constants.mu * dw0 + pressure(0.0)
-            mult = trace_multiplier(mode, BcSpec(alpha, 1))
-            recovered = mult * stress
-        rel_error = abs(recovered - 1.0)
-        entries.append(
-            {
-                "abs_xi": mode.abs_xi,
-                "lambda_re": mode.lam.real,
-                "lambda_im": mode.lam.imag,
-                "rho": mode.constants.rho,
-                "mu": mode.constants.mu,
-                "epsilon": mode.constants.epsilon,
-                "rel_error": rel_error,
-            }
-        )
+    batch = ModeBatch.from_modes(modes)
+    dirichlet = relation == "T11"
+    quad = _wall_traces(batch, _KW_BY_ALPHA[alpha], dirichlet, cfg)
+    if dirichlet:
+        # [d_y what](0) = -quad; the Dirichlet extension has p(0) = 1
+        stress = 2.0 * batch.mu * quad.value + 1.0
+        recovered = trace_multiplier(batch, BcSpec(alpha, 1)) * stress
+    else:
+        # [what](0) = -quad
+        recovered = trace_multiplier(batch, BcSpec(alpha, 0)) * -quad.value
+    rel_error = np.abs(recovered - 1.0)
 
-    max_err = max((e["rel_error"] for e in entries), default=0.0)
+    entries = tuple(
+        {
+            "abs_xi": mode.abs_xi,
+            "lambda_re": mode.lam.real,
+            "lambda_im": mode.lam.imag,
+            "rho": mode.constants.rho,
+            "mu": mode.constants.mu,
+            "epsilon": mode.constants.epsilon,
+            "rel_error": float(err),
+        }
+        for mode, err in zip(modes, rel_error)
+    )
+    max_err = float(np.max(rel_error))
     return VerificationReport(
         relation=relation,
         alpha=alpha,
@@ -481,5 +530,9 @@ def verify_trace_relations(
         n_modes=len(entries),
         max_rel_error=max_err,
         passed=max_err < rel_tol,
-        entries=tuple(entries),
+        entries=entries,
+        intervals=tuple(int(n) for n in quad.intervals),
+        panel_evals=int(quad.panel_evals.sum()),
+        rounds=quad.rounds,
+        zero_values=int(np.count_nonzero(quad.value == 0.0)),
     )

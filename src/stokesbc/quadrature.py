@@ -1,13 +1,23 @@
-"""Adaptive Gauss-Kronrod (7,15) quadrature with an explicit subdivision budget.
+"""Adaptive Gauss-Kronrod (7,15) quadrature over a stack of integrands, with
+an explicit subdivision budget.
 
 The verification paths integrate kernel products against exponential decays
 on truncated half-lines.  scipy's QUADPACK wrappers do not surface their
 subdivision budget as a typed error, and the CLI exit-code contract needs
 exactly that (budget exhausted -> exit code 3), so the rule is implemented
-here directly: evaluate the 15-point Kronrod rule and its embedded 7-point
-Gauss rule on every interval, use |K - G| as the error estimate, and keep
-bisecting the worst interval until the global estimate meets the tolerance
-or the budget runs out (QuadratureBudgetError).
+here directly.  It is the globally adaptive bisection of QUADPACK's QAG with
+the 15-point rule (Piessens et al., 1983), with the plain |K - G| error
+estimate: evaluate the 15-point Kronrod rule and its embedded 7-point Gauss
+rule on every interval, and keep bisecting the worst interval until the
+summed estimate is at most rel_tol * |integral| or the budget runs out
+(QuadratureBudgetError).
+
+adaptive_integrate_stack runs that rule on N integrands at once, each on its
+own [a, b]: every round it bisects the worst interval of each integrand that
+has not yet met rel_tol, and evaluates all the new panels of all those
+integrands as one (P, 15) array.  The arithmetic of a row never mixes with
+another row's, so a stack returns bit for bit what its rows return one at a
+time; adaptive_integrate is the stack of one.
 
 Node/weight tables are the standard published 15-digit constants.
 Integrands may be complex; they must accept numpy arrays of abscissae.
@@ -15,14 +25,19 @@ Integrands may be complex; they must accept numpy arrays of abscissae.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureBudgetError
 
-__all__ = ["QuadratureCfg", "gauss_kronrod_15", "adaptive_integrate"]
+__all__ = [
+    "QuadratureCfg",
+    "StackedQuadrature",
+    "gauss_kronrod_15",
+    "adaptive_integrate_stack",
+    "adaptive_integrate",
+]
 
 # positive Kronrod abscissae (the even-index ones are the Gauss-7 nodes)
 _XGK_POS = np.array(
@@ -87,14 +102,137 @@ class QuadratureCfg:
             )
 
 
-def gauss_kronrod_15(f, a: float, b: float) -> tuple[complex, float]:
-    """One (7,15) panel on [a, b]: returns (Kronrod value, |K - G| estimate)."""
+def gauss_kronrod_15(f, a, b):
+    """(7,15) panels on [a, b]: returns (Kronrod value, |K - G| estimate).
+
+    a and b are floats, or (P,) arrays of panel ends; f maps the abscissae
+    (shape (15,), or (P, 15)) to values of the same shape.  Array ends give
+    (P,) arrays, float ends a (complex, float) pair.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _NODES))
-    k = h * np.sum(_WK * fv)
-    g = h * np.sum(_WG * fv)
-    return complex(k), abs(k - g)
+    x = c[..., None] + h[..., None] * _NODES
+    fv = f(x)
+    k = h * np.sum(_WK * fv, axis=-1)
+    g = h * np.sum(_WG * fv, axis=-1)
+    err = np.abs(k - g)
+    if k.ndim:
+        return k, err
+    return complex(k), float(err)
+
+
+@dataclass(frozen=True)
+class StackedQuadrature:
+    """adaptive_integrate_stack result: one entry per integrand, plus the
+    number of refinement rounds the stack took."""
+
+    value: np.ndarray
+    error: np.ndarray
+    #: intervals of each final partition
+    intervals: np.ndarray
+    #: GK15 panels evaluated per integrand (the seed partition, then two
+    #: per bisection)
+    panel_evals: np.ndarray
+    rounds: int
+
+
+#: free interval slots per row beyond the seed partition; the slot arrays
+#: double in width whenever a row fills them
+_SPARE_SLOTS = 16
+
+
+def adaptive_integrate_stack(
+    f,
+    a,
+    b,
+    rel_tol: float = 1.0e-10,
+    max_subdivisions: int = 2000,
+    breakpoints=(),
+) -> StackedQuadrature:
+    """Integrate N integrands, row i over [a[i], b[i]], adaptively (a and b
+    broadcast to shape (N,)).
+
+    f(rows, x) returns the values at abscissae x of shape (P, 15), where
+    panel p belongs to integrand rows[p].  Each entry of breakpoints is an
+    (N,) array; its point seeds row i's partition where it lies inside
+    (a[i], b[i]).  Row i stops when its summed |K - G| estimate is at most
+    rel_tol * |integral|; QuadratureBudgetError is raised once a row that
+    has not stopped has spent max_subdivisions bisections.
+    """
+    a, b = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(b, dtype=float)
+    )
+    n = a.size
+    # seed partition [a, sorted breakpoints inside (a, b), b]; a point
+    # outside (a, b) leaves an empty slot, which is never evaluated
+    seeds = len(breakpoints) + 1
+    inner = [np.where((p > a) & (p < b), p, b) for p in map(np.asarray, breakpoints)]
+    pts = np.column_stack([a, *inner, b])
+    pts[:, 1:-1].sort(axis=1)
+    lo = np.zeros((n, seeds + _SPARE_SLOTS))
+    hi = np.zeros_like(lo)
+    lo[:, :seeds], hi[:, :seeds] = pts[:, :-1], pts[:, 1:]
+    live = lo[:, :seeds] < hi[:, :seeds]
+    live[:, 0] = True
+    val = np.zeros(lo.shape, dtype=complex)
+    err = np.full(lo.shape, -np.inf)
+    rows, cols = np.nonzero(live)
+    val[rows, cols], err[rows, cols] = gauss_kronrod_15(
+        lambda x: f(rows, x), lo[rows, cols], hi[rows, cols]
+    )
+    # summed slot by slot, in each row's own order, as a stack of one sums it
+    total = np.zeros(n, dtype=complex)
+    total_err = np.zeros(n)
+    for j in range(seeds):
+        total += val[:, j]
+        total_err += np.maximum(err[:, j], 0.0)
+    n_sub = np.zeros(n, dtype=int)
+
+    rounds = 0
+    while True:
+        act = np.nonzero(total_err > rel_tol * np.abs(total))[0]
+        if act.size == 0:
+            break
+        spent = n_sub[act] >= max_subdivisions
+        if spent.any():
+            i = act[np.argmax(spent)]
+            where = f" (integrand {i} of {n})" if n > 1 else ""
+            raise QuadratureBudgetError(
+                f"adaptive quadrature spent {n_sub[i]} subdivisions without "
+                f"reaching rel_tol = {rel_tol:g} (error estimate {total_err[i]:.3e} "
+                f"on integral {abs(total[i]):.3e}){where}"
+            )
+        new = seeds + n_sub[act]
+        if new.max() == lo.shape[1]:
+            wider = ((0, 0), (0, lo.shape[1]))
+            lo, hi, val = np.pad(lo, wider), np.pad(hi, wider), np.pad(val, wider)
+            err = np.pad(err, wider, constant_values=-np.inf)
+        worst = np.argmax(err[act], axis=1)
+        left, right = lo[act, worst], hi[act, worst]
+        mid = 0.5 * (left + right)
+        both = np.concatenate([act, act])
+        v, e = gauss_kronrod_15(
+            lambda x: f(both, x), np.concatenate([left, mid]), np.concatenate([mid, right])
+        )
+        k = act.size
+        total[act] += v[:k] + v[k:] - val[act, worst]
+        total_err[act] += e[:k] + e[k:] - err[act, worst]
+        # the left half takes the bisected slot, the right half the next free one
+        hi[act, worst], val[act, worst], err[act, worst] = mid, v[:k], e[:k]
+        lo[act, new], hi[act, new], val[act, new], err[act, new] = mid, right, v[k:], e[k:]
+        n_sub[act] += 1
+        rounds += 1
+
+    seeded = live.sum(axis=1)
+    return StackedQuadrature(
+        value=total,
+        error=total_err,
+        intervals=seeded + n_sub,
+        panel_evals=seeded + 2 * n_sub,
+        rounds=rounds,
+    )
 
 
 def adaptive_integrate(
@@ -105,7 +243,8 @@ def adaptive_integrate(
     max_subdivisions: int = 2000,
     breakpoints: tuple[float, ...] = (),
 ) -> tuple[complex, float, int]:
-    """Integrate f over [a, b] adaptively.
+    """Integrate f over [a, b] adaptively: adaptive_integrate_stack on a
+    stack of one.
 
     breakpoints seed the initial partition (used to isolate kernel kinks at
     eta = y, where |y - eta| is not smooth).  Stops when the summed |K - G|
@@ -113,36 +252,12 @@ def adaptive_integrate(
     QuadratureBudgetError once more than max_subdivisions bisections were
     spent.  Returns (value, error_estimate, intervals_used).
     """
-    pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    heap: list[tuple[float, int, float, float, complex]] = []
-    counter = 0
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = gauss_kronrod_15(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
-        counter += 1
-
-    n_subdivisions = 0
-    while total_err > rel_tol * abs(total):
-        if n_subdivisions >= max_subdivisions:
-            raise QuadratureBudgetError(
-                f"adaptive quadrature spent {n_subdivisions} subdivisions without "
-                f"reaching rel_tol = {rel_tol:g} (error estimate {total_err:.3e} "
-                f"on integral {abs(total):.3e})"
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = gauss_kronrod_15(f, lo, mid)
-        v2, e2 = gauss_kronrod_15(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - (-neg_err)
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
-        counter += 1
-        n_subdivisions += 1
-
-    return total, total_err, len(heap)
+    res = adaptive_integrate_stack(
+        lambda rows, x: f(x),
+        a,
+        b,
+        rel_tol=rel_tol,
+        max_subdivisions=max_subdivisions,
+        breakpoints=[[p] for p in breakpoints],
+    )
+    return complex(res.value[0]), float(res.error[0]), int(res.intervals[0])

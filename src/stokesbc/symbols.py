@@ -181,6 +181,10 @@ class ModeParams:
         return math.sqrt(self.constants.mu) * self.abs_xi
 
     @property
+    def sqmu(self) -> float:
+        return math.sqrt(self.constants.mu)
+
+    @property
     def rate_fast(self) -> complex:
         """Decay rate omega/sqrt(mu) of the viscous ansatz column."""
         return self.omega / math.sqrt(self.constants.mu)
@@ -352,6 +356,11 @@ class ModeBatch:
     @cached_property
     def abs_zeta(self) -> np.ndarray:
         return self.sqmu * self.abs_xi
+
+    @cached_property
+    def rate_fast(self) -> np.ndarray:
+        """Decay rate omega/sqrt(mu) of the viscous ansatz column."""
+        return self.omega / self.sqmu
 
 
 def _check_bc_for_symbol(bc: BcSpec) -> None:
@@ -592,32 +601,35 @@ def generic_inverse(mode: ModeParams | ModeBatch, bc: BcSpec) -> np.ndarray:
     return _unbatch(mode, _lu_inverse(b).astype(complex))
 
 
-def trace_multiplier(mode: ModeParams, bc: BcSpec) -> complex:
+def trace_multiplier(mode: ModeParams | ModeBatch, bc: BcSpec):
     """Scalar multiplier tying the boundary datum h_w to the pressure co-trace.
 
     beta = 0:  -d_y phat(0) = T^alpha h_w
     beta = +1:  phat(0)     = S^alpha h_w
     beta = -1:  phat(0)     = h_w           (identity; the datum IS the trace)
+
+    For a ModeBatch the result is the (N,) array of its modes' multipliers.
     """
-    omega = mode.omega
-    az = mode.abs_zeta
+    p = _as_batch(mode)
+    omega = p.omega
+    az = p.abs_zeta
     # omega^2 - |zeta|^2 == rho lambda_eps exactly; avoid the cancelling
     # subtraction (see closed_form_inverse).
-    rho_lam = mode.constants.rho * mode.lambda_eps
-    if bc.beta == 0:
-        if bc.alpha == 0:
-            return omega * (omega + az)
-        return rho_lam if bc.alpha < 0 else omega**2 + az**2
-    if bc.beta == 1:
-        if bc.alpha == 0:
-            return 1.0 + 0.0j
+    rho_lam = p.rho_lam
+    if bc.beta == 0 and bc.alpha == 0:
+        mult = omega * (omega + az)
+    elif bc.beta == 0:
+        mult = rho_lam if bc.alpha < 0 else omega**2 + az**2
+    elif bc.beta == 1 and bc.alpha != 0:
         sgn = float(bc.alpha)
         numer = rho_lam if sgn < 0 else omega**2 + az**2
         denom = (omega**2 + az**2 if sgn < 0 else rho_lam) + 2.0 * (
             omega / (omega + az)
         ) * (az**2 + sgn * az**2)
-        return numer / denom
-    return 1.0 + 0.0j
+        mult = numer / denom
+    else:
+        mult = np.ones(p.size, dtype=complex)
+    return _unbatch(mode, mult)
 
 
 def solve_coefficients(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.halfspace import ModeSolution
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
+from stokesbc.quadrature import gauss_kronrod_15
 from stokesbc.symbols import ALL_BCS, SYMBOL_BCS  # noqa: F401  (re-exported to the tests)
 
 STANDARD = FluidConstants(1.0, 1.0, 1.0)
@@ -84,3 +87,24 @@ def solution_sup_gap(a, b, y):
         np.max(np.abs(a.velocity.evaluate(y))), np.max(np.abs(a.pressure(y)))
     )
     return max(vel_gap, p_gap) / scale
+
+
+def reference_adaptive_integrate(f, a, b, rel_tol, max_subdivisions=2000):
+    """The one-integrand GK15 loop the stacked integrator replaced: a heap of
+    intervals, bisecting the worst until the summed |K - G| estimate is at
+    most rel_tol * |integral|.  Returns (value, error_estimate, intervals)."""
+    total, total_err = gauss_kronrod_15(f, a, b)
+    heap = [(-total_err, 0, a, b, total)]
+    counter = 1
+    while total_err > rel_tol * abs(total):
+        assert counter < 2 * max_subdivisions, "reference ran out of budget"
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = gauss_kronrod_15(f, lo, mid)
+        v2, e2 = gauss_kronrod_15(f, mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 - (-neg_err)
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
+        counter += 2
+    return total, total_err, len(heap)

@@ -187,6 +187,28 @@ def test_verify_traces_smoke_and_worst_mode(runner, tmp_path):
     assert len(rows) == 12
 
 
+def test_verify_traces_deterministic_across_jobs_with_counters(runner, tmp_path):
+    cfg = {"n_modes": 40}
+    trees = []
+    for jobs in ("1", "2", "4"):
+        result, out = invoke(
+            runner, "verify-traces", tmp_path, cfg, name=f"j{jobs}", extra=("--jobs", jobs)
+        )
+        assert result.exit_code == 0, result.output
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1] == trees[2]
+    for section in json.loads(trees[0]["verify_traces.json"])["relations"]:
+        counters = section["counters"]
+        intervals = counters["quadrature_intervals"]
+        assert 1 <= intervals["min"] <= intervals["max"] <= intervals["sum"]
+        # one seed panel per mode, then two panels per bisection
+        assert counters["panel_evals"] == 2 * intervals["sum"] - 40
+        # T11 at alpha = 0 integrates d_y G_plus(0, .) = 0: one panel, value 0
+        vacuous = (section["relation"], section["alpha"]) == ("T11", 0)
+        assert counters["zero_values"] == (40 if vacuous else 0)
+        assert (counters["adaptive_rounds"] == 0) == vacuous
+
+
 def test_verify_traces_budget_exhaustion_exit_code(runner, tmp_path):
     cfg = {
         "n_modes": 2,

@@ -6,21 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import draw_mode, random_profile, standard_mode
+from helpers import (
+    draw_mode,
+    random_profile,
+    reference_adaptive_integrate,
+    standard_mode,
+)
 from stokesbc import (
     KernelSpec,
+    ModeBatch,
     QuadratureCfg,
     apply_kernel,
     derive_mode,
     dirichlet_extend_mode,
     eval_kernel,
     kernel_weight,
+    neumann_extend_mode,
     oracle_fd_solve,
     parabolic_solve_mode,
     trace_multiplier,
     verify_trace_relations,
 )
-from stokesbc.parabolic import eval_kernel_dy
+from stokesbc import cli
+from stokesbc.parabolic import _KW_BY_ALPHA, _wall_traces, eval_kernel_dy
 from stokesbc.profiles import ScalarModeProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -174,3 +182,89 @@ def test_trace_relations_smoke(relation, alphas):
 def test_trace_relation_rejects_unknown_alpha():
     with pytest.raises(Exception):
         verify_trace_relations([standard_mode()], 1, "T00")
+
+
+# verify_traces.csv rows (seed, relation, alpha, chunk, index) that the old
+# window 40 / min(Re m, |xi|) got wrong.  At |xi| ~ 0.01 it is ~3000 long,
+# and its one GK15 panel puts no node in the wall layer of width 1 / Re m.
+OLD_WORST = (2024, "T11", -1, 8, 2)  # rel_error 8.1e-8, the default run's worst
+WHOLE_MISS = (2, "T00", 0, 6, 14)  # rel_error 1.0: the quadrature read 0
+
+WALL_CHECKS = [("T00", 0), ("T10", 1), ("T10", -1), ("T11", 0), ("T11", 1), ("T11", -1)]
+
+
+def redraw(seed, relation, alpha, chunk, index):
+    """The mode behind a verify_traces.csv row of the default config."""
+    cfg = {**cli._DEFAULTS["verify-traces"], "seed": seed}
+    ri = cfg["relations"].index(relation)
+    rng = np.random.default_rng([seed, ri, alpha + 1, chunk])
+    for _ in range(index + 1):
+        mode = cli._draw_constants(rng, cfg)
+    return mode
+
+
+def test_redrawn_modes_are_the_logged_rows():
+    mode = redraw(*OLD_WORST)
+    c = mode.constants
+    assert (c.rho, c.mu, c.epsilon) == pytest.approx((5.4737061, 0.1510583, 100.0))
+    assert mode.lam == pytest.approx(41.4957749j)
+    assert mode.abs_xi == pytest.approx(0.01263395)
+    assert redraw(*WHOLE_MISS).abs_xi == pytest.approx(0.01048601)
+
+
+@pytest.mark.parametrize("row, old_error", [(OLD_WORST, 1e-8), (WHOLE_MISS, 0.5)])
+def test_trace_window_is_the_decay_sum(row, old_error):
+    _, relation, alpha, _, _ = row
+    mode = redraw(*row)
+    assert verify_trace_relations([mode], alpha, relation).max_rel_error < 1e-10
+    # the min-rate window, reached through the multiplier, still misses
+    m, r = mode.rate_fast.real, mode.abs_xi
+    old = QuadratureCfg(truncation_multiplier=40.0 * (m + r) / min(m, r))
+    missed = verify_trace_relations([mode], alpha, relation, cfg=old)
+    assert missed.max_rel_error > old_error
+
+
+def test_apply_kernel_window_is_the_decay_sum():
+    mode = redraw(*OLD_WORST)
+    rhs = dirichlet_extend_mode(mode.xi, 1.0).derivative()
+    y = np.array([0.0, 0.01, 1.0, 10.0])
+    for kind in ("G_plus", "Kw_minus"):
+        # 1.0 with the min-rate tail: the panel past eta = y missed the layer
+        assert apply_kernel(KernelSpec(kind, mode), rhs, y).max_mismatch < 1e-10
+
+
+def _sweep_modes():
+    rng = np.random.default_rng(7)
+    drawn = [draw_mode(rng) for _ in range(10)]
+    return drawn + [redraw(*OLD_WORST), redraw(*WHOLE_MISS)]
+
+
+@pytest.mark.parametrize("relation, alpha", WALL_CHECKS)
+def test_trace_sweep_equals_its_modes_one_at_a_time(relation, alpha):
+    modes = _sweep_modes()
+    stack = verify_trace_relations(modes, alpha, relation)
+    for mode, entry, intervals in zip(modes, stack.entries, stack.intervals):
+        one = verify_trace_relations([mode], alpha, relation)
+        assert one.entries[0]["rel_error"] == entry["rel_error"]
+        assert one.intervals == (intervals,)
+
+
+def test_stacked_wall_traces_match_the_scalar_loop():
+    """Per mode, the stack agrees with one GK15 loop over the scalar kernel
+    and profile on the same window, to the quadrature rel_tol."""
+    cfg = QuadratureCfg()
+    modes = _sweep_modes()
+    batch = ModeBatch.from_modes(modes)
+    for relation, alpha in WALL_CHECKS:
+        dirichlet = relation == "T11"
+        quad = _wall_traces(batch, _KW_BY_ALPHA[alpha], dirichlet, cfg)
+        kernel = eval_kernel_dy if dirichlet else eval_kernel
+        extend = dirichlet_extend_mode if dirichlet else neumann_extend_mode
+        for mode, value in zip(modes, quad.value):
+            spec = KernelSpec(_KW_BY_ALPHA[alpha], mode)
+            source = extend(mode.xi, 1.0).derivative()
+            upper = cfg.truncation_multiplier / (mode.rate_fast.real + mode.abs_xi)
+            ref, _, _ = reference_adaptive_integrate(
+                lambda eta: kernel(spec, 0.0, eta) * source(eta), 0.0, upper, cfg.rel_tol
+            )
+            assert abs(value - ref) <= cfg.rel_tol * abs(ref)
