@@ -408,10 +408,13 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
         "worst_pair",
     ]
     _write_csv(os.path.join(out_dir, "verify_symbols.csv"), header, rows)
+    # generic_inverse works in np.longdouble, which is plain double on some platforms
+    extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
     report = {
         "command": "verify-symbols",
         "config": cfg,
         "pairs": [f"({a},{b})" for a, b in SYMBOL_BCS],
+        "oracle_precision": "extended" if extended else "double",
         "n_modes": len(rows),
         "worst_identity_residual": worst_id,
         "worst_generic_gap": worst_gap,

@@ -70,19 +70,35 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _apply(ops: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real operators applied to complex z (..., n) along its last axis.
+
+    z's real and imaginary parts are the two columns of a real (..., n, 2)
+    right-hand side, so a stack of K operators (K, n, n) takes a (K, n)
+    datum in one matmul, and a single (n, n) operator broadcasts over K.
+    Each of the K products is (n, n) x (n, 2), small enough for BLAS to
+    run on the calling thread.
+    """
+    real = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
+    return np.matmul(ops, real).view(np.complex128).reshape(z.shape)
+
+
 def _velocity_gradient(field: SampledField) -> np.ndarray:
     """grad[i, j] = d_i u_j of the sampled velocity, shape (2, 2, nx, ny).
 
-    x is differentiated spectrally (periodic), both components in one
-    rfft/irfft pair; y by the grid's y_derivative.
+    Both parts are taken on the rfft spectrum of the two components, per
+    Fourier mode: x by i xi (the unpaired Nyquist mode of an even nx has no
+    x-derivative and is dropped), y by the grid's y_derivative applied to
+    each (xi, y) row.  One irfft returns both parts to the grid.
     """
     u = field.velocity
     nx = u.shape[1]
     spec = np.fft.rfft(u, axis=1)
-    spec *= (1j * field.grid.wavenumbers())[:, None]
+    ddx = spec * (1j * field.grid.wavenumbers())[:, None]
     if nx % 2 == 0:
-        spec[:, -1] = 0.0  # drop the unpaired Nyquist mode from the derivative
-    return np.stack((np.fft.irfft(spec, n=nx, axis=1), u @ field.grid.y_derivative.T))
+        ddx[:, -1] = 0.0
+    ddy = _apply(field.grid.y_derivative, spec)
+    return np.fft.irfft(np.stack((ddx, ddy)), n=nx, axis=2)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ identity) once per dt, stacked over the modes, so a resolvent solve is one
 rfft, one stacked matmul per stage and one irfft, with no Python work per
 mode (the usual practice for Chebyshev-Fourier solvers, Haidvogel & Zang,
 J. Comput. Phys. 30, 1979).  Only the current dt's operators are kept.
+The convective datum is built the same way: grad u is one rfft, the
+x-part i xi and the y-part the Chebyshev matrix applied per mode, and one
+irfft.  Both use energy._apply, real (n, n) operators on a complex (K, n)
+stack as K small real products that BLAS keeps on the calling thread.
 
 The driver halves dt when Picard stalls or the kinetic energy grows for
 three consecutive accepted steps, and stops with status 'blowup_suspected'
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .energy import _velocity_gradient, kinetic_energy
+from .energy import _apply, _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
 from .grids import diff_matrix
 from .halfspace import GridSpec, SampledField, solve_mode
@@ -114,9 +118,11 @@ def _ddx_fd(arr: np.ndarray, x_length: float) -> np.ndarray:
 def nonlinearity(field: SampledField, method: str = "spectral") -> np.ndarray:
     """-(u . grad) u on the grid, shape (2, nx, ny).
 
-    method 'spectral' differentiates x by FFT and y by the grid's
-    y_derivative (Chebyshev on a 'cheb' grid); method 'fd' uses second-order
-    central differences in both directions, as an independent cross-check.
+    method 'spectral' takes grad u per Fourier mode on the rfft spectrum: x
+    by i xi, y by the grid's y_derivative (Chebyshev on a 'cheb' grid)
+    applied to each mode's wall-normal row.  Method 'fd' uses second-order
+    central differences in both directions, in physical space, as an
+    independent cross-check.
     No density factor is applied: the result is the acceleration datum the
     stepper adds to f.
     """
@@ -190,17 +196,6 @@ def _inverse(mat: np.ndarray, zero_datum_rows=(0, -1)) -> np.ndarray:
     inv = lu_solve(lu_factor(mat), np.eye(len(mat)))
     inv[:, list(zero_datum_rows)] = 0.0
     return inv
-
-
-def _apply(ops: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real operators applied to complex z (..., n) along its last axis.
-
-    z's real and imaginary parts are the two columns of a real (..., n, 2)
-    right-hand side, so a stack of K operators (K, n, n) takes a (K, n)
-    datum in one matmul, and a single (n, n) operator broadcasts over K.
-    """
-    real = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
-    return np.matmul(ops, real).view(np.complex128).reshape(z.shape)
 
 
 class NsStepper:

@@ -5,6 +5,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -123,6 +124,14 @@ def test_single_mode_smoke_emits_one_row(runner, tmp_path):
     report = json.loads((out / "verify_symbols.json").read_text())
     assert report["passed"] is True
     assert report["n_modes"] == 1
+
+
+def test_verify_symbols_records_the_oracle_precision(runner, tmp_path):
+    result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1})
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "verify_symbols.json").read_text())
+    extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    assert report["oracle_precision"] == ("extended" if extended else "double")
 
 
 def test_verify_symbols_impossible_tolerance_fails(runner, tmp_path):

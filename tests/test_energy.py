@@ -23,7 +23,7 @@ from stokesbc import (
     stream_function_field,
     synthesize_field,
 )
-from stokesbc.energy import tensors
+from stokesbc.energy import _apply, tensors
 from stokesbc.halfspace import ModeSolution
 
 CONSTANTS = FluidConstants(1.0, 1.0, 1.0)
@@ -193,6 +193,38 @@ def test_velocity_gradient_drops_the_nyquist_mode():
     assert np.max(np.abs(grad[0, 0])) <= 1e-12 * scale
     exact = -2 * k * b * np.sin(2 * k * x) * y * np.exp(-c * y)
     assert np.max(np.abs(grad[0, 1] - exact)) <= 1e-12 * scale
+    # only the x-part drops the Nyquist mode: its y-derivative is kept
+    ddy = field.velocity[0] @ grid.y_derivative.T
+    assert np.max(np.abs(ddy)) > 0.5 * c
+    assert np.max(np.abs(grad[1, 0] - ddy)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nx", [9, 8])
+@pytest.mark.parametrize(
+    "grid_kind",
+    [{"y_kind": "cheb"}, {}, {"y_kind": "graded", "y_grading": 2.0}],
+    ids=["cheb", "uniform", "graded"],
+)
+def test_velocity_gradient_y_part_is_the_plain_product(nx, grid_kind):
+    # the y-part is taken per Fourier mode; it must equal the physical-space
+    # product u @ D^T, x-mean and (for even nx) Nyquist content included
+    grid = GridSpec(3.0, nx, 10.0, 33, **grid_kind)
+    rng = np.random.default_rng(nx)
+    u = 2.0 + rng.standard_normal((2, nx, 33))
+    field = SampledField(grid, CONSTANTS, u, np.zeros((nx, 33)))
+    grad = tensors(field).grad
+    assert np.max(np.abs(grad[1] - u @ grid.y_derivative.T)) <= 1e-13 * np.max(np.abs(u))
+
+
+def test_apply_is_the_row_by_row_product():
+    rng = np.random.default_rng(3)
+    k, n = 4, 6
+    ops = rng.standard_normal((k, n, n))
+    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    expected = np.stack([ops[i] @ z[i] for i in range(k)])
+    assert np.allclose(_apply(ops, z), expected, rtol=0.0, atol=1e-13)
+    single = ops[0]
+    assert np.allclose(_apply(single, z), z @ single.T, rtol=0.0, atol=1e-13)
 
 
 def _rows(field, bc, p_exponent, **data):
