@@ -10,14 +10,14 @@ Five verbs, all sharing the global flags --config/--seed/--jobs/--out:
 
 Configuration is JSON, strictly validated: unknown keys are rejected, and
 every verb documents its defaults in _DEFAULTS below.  --seed overrides the
-config seed; --jobs (or the STOKESBC_JOBS environment variable) sets the
-worker-pool width.  Reports embed the fully resolved config.
+config seed.  --jobs (or the STOKESBC_JOBS environment variable) is
+validated (an integer >= 1) but has no effect: every campaign runs on one
+thread.  Reports embed the fully resolved config.
 
 Determinism contract: identical config + seed produce byte-identical output
-files regardless of --jobs.  Random sweeps are split into a fixed number of
-chunks, each with its own seed sequence derived from (seed, chunk), and
-chunk results are merged in chunk order — the pool width never influences
-what is drawn or how results are ordered.  No timestamps or runtimes are
+files, whatever --jobs says.  Random sweeps are split into a fixed number of
+chunks, each drawn from its own seed sequence derived from (seed, chunk),
+and results are written in chunk order.  No timestamps or runtimes are
 written to any artifact.
 
 Exit codes: 0 success, 1 tolerance breach (or non-converged run),
@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -65,8 +64,8 @@ from .symbols import (
     generic_inverse,
 )
 
-#: number of independent sweep chunks; fixed so that results do not depend
-#: on the worker-pool width.
+#: number of sweep chunks; each chunk keys its own random stream, so the
+#: modes drawn depend on the seed and the chunk alone.
 N_CHUNKS = 16
 
 TWO_PI = 2.0 * math.pi
@@ -202,6 +201,8 @@ def _require_range(cfg: dict, key: str, *, positive: bool = False) -> tuple[floa
     ):
         raise ConfigError(f"{key!r} must be a [low, high] pair of numbers")
     lo, hi = float(val[0]), float(val[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{key!r} must be finite, got {val!r}")
     if lo > hi:
         raise ConfigError(f"{key!r} must be ascending, got {val!r}")
     if positive and lo <= 0:
@@ -231,9 +232,11 @@ def _load_config(command: str, config_path: str | None, seed: int | None) -> dic
 
 
 def _resolve_jobs(jobs: int | None) -> int:
+    source = "--jobs"
     if jobs is None:
         env = os.environ.get("STOKESBC_JOBS")
         if env is not None:
+            source = "STOKESBC_JOBS"
             try:
                 jobs = int(env)
             except ValueError as exc:
@@ -241,16 +244,14 @@ def _resolve_jobs(jobs: int | None) -> int:
         else:
             jobs = 1
     if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"{source} must be >= 1, got {jobs}")
     return jobs
 
 
 def _map_ordered(fn, tasks, jobs: int) -> list:
-    """Apply fn over tasks, preserving task order in the result list."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+    """fn over tasks, in task order, on this thread (jobs is accepted and
+    ignored)."""
+    return [fn(t) for t in tasks]
 
 
 def _chunk_counts(total: int) -> list[int]:
@@ -326,9 +327,17 @@ def _validate_sweep_config(cfg: dict) -> None:
     if (
         not isinstance(eps, (list, tuple))
         or not eps
-        or any(isinstance(e, bool) or not isinstance(e, (int, float)) or e <= 0 for e in eps)
+        or any(
+            isinstance(e, bool)
+            or not isinstance(e, (int, float))
+            or not math.isfinite(e)
+            or e <= 0
+            for e in eps
+        )
     ):
-        raise ConfigError("'epsilon_choices' must be a non-empty list of positive numbers")
+        raise ConfigError(
+            "'epsilon_choices' must be a non-empty list of finite positive numbers"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +444,24 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
 # verb: verify-traces
 # ---------------------------------------------------------------------------
 
-def _traces_chunk(task):
-    relation, alpha, ri, chunk, count, cfg = task
-    rng = np.random.default_rng([cfg["seed"], ri, alpha + 1, chunk])
-    modes = [_draw_constants(rng, cfg) for _ in range(count)]
+def _traces_section(task):
+    """One (relation, alpha) section as one stack: each chunk's modes are
+    drawn from the chunk's own stream, in chunk order.  Returns the
+    (chunk, index) label of every mode and the section's report."""
+    relation, alpha, ri, cfg = task
+    labels = []
+    modes = []
+    for chunk, count in enumerate(_chunk_counts(cfg["n_modes"])):
+        rng = np.random.default_rng([cfg["seed"], ri, alpha + 1, chunk])
+        for idx in range(count):
+            labels.append((chunk, idx))
+            modes.append(_draw_constants(rng, cfg))
     qcfg = QuadratureCfg(
         rel_tol=cfg["quadrature"]["rel_tol"],
         truncation_multiplier=cfg["quadrature"]["truncation_multiplier"],
         max_subdivisions=cfg["quadrature"]["max_subdivisions"],
     )
-    return verify_trace_relations(
+    return labels, verify_trace_relations(
         modes, alpha, relation, cfg=qcfg, rel_tol=cfg["rel_tol"]
     )
 
@@ -465,21 +482,17 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     _require_number(q, "truncation_multiplier", positive=True, path="quadrature")
     _require_int(q, "max_subdivisions", minimum=1, path="quadrature")
 
-    tasks = []
-    for ri, relation in enumerate(relations):
-        for alpha in _RELATION_ALPHAS[relation]:
-            for chunk, count in enumerate(_chunk_counts(cfg["n_modes"])):
-                if count > 0:
-                    tasks.append((relation, alpha, ri, chunk, count, cfg))
-    chunk_reports = _map_ordered(_traces_chunk, tasks, jobs)
-
+    tasks = [
+        (relation, alpha, ri, cfg)
+        for ri, relation in enumerate(relations)
+        for alpha in _RELATION_ALPHAS[relation]
+    ]
     rows = []
     sections = []
-    by_key: dict[tuple, list] = {}
-    for task, rep in zip(tasks, chunk_reports):
-        relation, alpha, _, chunk, _, _ = task
-        by_key.setdefault((relation, alpha), []).append((chunk, rep))
-        for idx, entry in enumerate(rep.entries):
+    for (relation, alpha, _, _), (labels, rep) in zip(
+        tasks, _map_ordered(_traces_section, tasks, jobs)
+    ):
+        for (chunk, idx), entry in zip(labels, rep.entries):
             rows.append(
                 (
                     relation,
@@ -494,36 +507,27 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
                     entry["rel_error"],
                 )
             )
-    all_passed = True
-    for ri, relation in enumerate(relations):
-        for alpha in _RELATION_ALPHAS[relation]:
-            parts = by_key[(relation, alpha)]
-            n_modes = sum(rep.n_modes for _, rep in parts)
-            worst_rep = max(parts, key=lambda cr: cr[1].max_rel_error)[1]
-            max_err = worst_rep.max_rel_error
-            passed = max_err < cfg["rel_tol"]
-            all_passed = all_passed and passed
-            intervals = [n for _, rep in parts for n in rep.intervals]
-            sections.append(
-                {
-                    "relation": relation,
-                    "alpha": alpha,
-                    "n_modes": n_modes,
-                    "max_rel_error": max_err,
-                    "worst_mode": worst_rep.worst,
-                    "passed": passed,
-                    "counters": {
-                        "quadrature_intervals": {
-                            "sum": sum(intervals),
-                            "min": min(intervals),
-                            "max": max(intervals),
-                        },
-                        "panel_evals": sum(rep.panel_evals for _, rep in parts),
-                        "adaptive_rounds": sum(rep.rounds for _, rep in parts),
-                        "zero_values": sum(rep.zero_values for _, rep in parts),
+        sections.append(
+            {
+                "relation": relation,
+                "alpha": alpha,
+                "n_modes": rep.n_modes,
+                "max_rel_error": rep.max_rel_error,
+                "worst_mode": rep.worst,
+                "passed": rep.passed,
+                "counters": {
+                    "quadrature_intervals": {
+                        "sum": sum(rep.intervals),
+                        "min": min(rep.intervals),
+                        "max": max(rep.intervals),
                     },
-                }
-            )
+                    "panel_evals": rep.panel_evals,
+                    "adaptive_rounds": rep.rounds,
+                    "zero_values": rep.zero_values,
+                },
+            }
+        )
+    all_passed = all(s["passed"] for s in sections)
 
     header = [
         "relation",
@@ -912,7 +916,7 @@ def _global_options(fn):
         "--jobs",
         type=int,
         default=None,
-        help="Worker-pool width (default: STOKESBC_JOBS or 1).",
+        help="Accepted for compatibility, no effect (default: STOKESBC_JOBS or 1).",
     )(fn)
     fn = click.option(
         "--out",

@@ -33,8 +33,9 @@ coefficient R = 1 - 2c.)  The coefficients follow from imposing the two
 boundary rows on the half-line traces of G/Gr; the denominators are
 omega^2 + |zeta|^2 = rho lambda_eps + 2 mu |xi|^2 and
 omega^2 - |zeta|^2 = rho lambda_eps, both with positive real part for
-admissible modes.  The resulting wall traces reproduce the closed trace
-relations
+admissible modes.  The minus denominator is evaluated as rho lambda_eps:
+the difference omega^2 - |zeta|^2 cancels when rho lambda_eps << mu |xi|^2.
+The resulting wall traces reproduce the closed trace relations
 
     (T00)  omega(omega + |zeta|) [what](0)        = h   (alpha = 0)
     (T10)  (omega^2 ± |zeta|^2)  [what](0)        = h   (alpha = +-1)
@@ -106,11 +107,11 @@ def kernel_weight(kind: str, mode: ModeParams | ModeBatch):
     if kind == "Kv_plus":
         return az * (omega + az) / (omega**2 + az**2)
     if kind == "Kv_minus":
-        return -az * (omega + az) / (omega**2 - az**2)
+        return -az * (omega + az) / mode.rho_lam
     if kind == "Kw_plus":
         return -az * (omega - az) / (omega**2 + az**2)
     if kind == "Kw_minus":
-        return -az * (omega + az) / (omega**2 - az**2)
+        return -az * (omega + az) / mode.rho_lam
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

@@ -185,6 +185,11 @@ class ModeParams:
         return math.sqrt(self.constants.mu)
 
     @property
+    def rho_lam(self) -> complex:
+        """rho lambda_eps = omega^2 - |zeta|^2."""
+        return self.constants.rho * self.lambda_eps
+
+    @property
     def rate_fast(self) -> complex:
         """Decay rate omega/sqrt(mu) of the viscous ansatz column."""
         return self.omega / math.sqrt(self.constants.mu)

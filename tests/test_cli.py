@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from stokesbc import QuadratureCfg, cli, verify_trace_relations
 from stokesbc.cli import main
 
 
@@ -106,6 +107,10 @@ def test_negative_tolerance_rejected(runner, tmp_path):
         ("run-ns", {"dt": -1}, "dt"),
         ("verify-traces", {"relations": ["T99"]}, "T99"),
         ("verify-symbols", {"rho_range": [1, 0.1]}, "rho_range"),
+        ("verify-symbols", {"rho_range": [0.1, float("inf")]}, "rho_range"),
+        ("verify-symbols", {"abs_xi_range": [float("nan"), 1.0]}, "abs_xi_range"),
+        ("verify-traces", {"lambda_im_range": [0, float("inf")]}, "lambda_im_range"),
+        ("verify-traces", {"epsilon_choices": [float("inf")]}, "epsilon_choices"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, named):
@@ -179,6 +184,23 @@ def test_jobs_env_var_honoured(runner, tmp_path, monkeypatch):
     assert tree_bytes(out) == tree_bytes(out2)
 
 
+@pytest.mark.parametrize(
+    "extra, env, named",
+    [
+        (("--jobs", "0"), None, "--jobs"),
+        ((), "abc", "STOKESBC_JOBS"),
+        ((), "0", "STOKESBC_JOBS"),
+    ],
+)
+def test_invalid_jobs_exits_2(runner, tmp_path, monkeypatch, extra, env, named):
+    monkeypatch.delenv("STOKESBC_JOBS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("STOKESBC_JOBS", env)
+    result, _ = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1}, extra=extra)
+    assert result.exit_code == 2, result.output
+    assert f"config error: {named}" in result.output
+
+
 def test_verify_traces_smoke_and_worst_mode(runner, tmp_path):
     cfg = {"n_modes": 4, "relations": ["T00", "T10"]}
     result, out = invoke(runner, "verify-traces", tmp_path, cfg)
@@ -216,6 +238,31 @@ def test_verify_traces_deterministic_across_jobs_with_counters(runner, tmp_path)
         vacuous = (section["relation"], section["alpha"]) == ("T11", 0)
         assert counters["zero_values"] == (40 if vacuous else 0)
         assert (counters["adaptive_rounds"] == 0) == vacuous
+
+
+def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path):
+    """A section checks all its chunks as one stack; every row's rel_error
+    is, bit for bit, what its chunk returns when checked on its own."""
+    cfg = {"n_modes": 40, "relations": ["T00", "T11"]}
+    result, out = invoke(runner, "verify-traces", tmp_path, cfg)
+    assert result.exit_code == 0, result.output
+    resolved = json.loads((out / "verify_traces.json").read_text())["config"]
+    qcfg = QuadratureCfg(**resolved["quadrature"])
+    counts = cli._chunk_counts(resolved["n_modes"])
+    alone = {}
+    for row in read_rows(out / "verify_traces.csv"):
+        relation, alpha, chunk = row["relation"], int(row["alpha"]), int(row["chunk"])
+        key = (relation, alpha, chunk)
+        if key not in alone:
+            ri = resolved["relations"].index(relation)
+            rng = np.random.default_rng([resolved["seed"], ri, alpha + 1, chunk])
+            modes = [cli._draw_constants(rng, resolved) for _ in range(counts[chunk])]
+            alone[key] = verify_trace_relations(modes, alpha, relation, cfg=qcfg)
+        entry = alone[key].entries[int(row["index"])]
+        assert float(row["abs_xi"]) == entry["abs_xi"]
+        assert float(row["rel_error"]) == entry["rel_error"]
+    # T00 at alpha 0 and T11 at alpha 0, +-1, each over 16 chunks of 2-3 modes
+    assert len(alone) == 4 * 16
 
 
 def test_verify_traces_budget_exhaustion_exit_code(runner, tmp_path):

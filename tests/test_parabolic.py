@@ -189,6 +189,9 @@ def test_trace_relation_rejects_unknown_alpha():
 # and its one GK15 panel puts no node in the wall layer of width 1 / Re m.
 OLD_WORST = (2024, "T11", -1, 8, 2)  # rel_error 8.1e-8, the default run's worst
 WHOLE_MISS = (2, "T00", 0, 6, 14)  # rel_error 1.0: the quadrature read 0
+# rel_error 9.8e-11 while the alpha = -1 weights divided by omega^2 - |zeta|^2:
+# rho lambda_eps = 0.0014 + 0.0042i against mu |xi|^2 = 2e4
+CANCELLING = (6, "T10", -1, 3, 15)
 
 WALL_CHECKS = [("T00", 0), ("T10", 1), ("T10", -1), ("T11", 0), ("T11", 1), ("T11", -1)]
 
@@ -222,6 +225,16 @@ def test_trace_window_is_the_decay_sum(row, old_error):
     old = QuadratureCfg(truncation_multiplier=40.0 * (m + r) / min(m, r))
     missed = verify_trace_relations([mode], alpha, relation, cfg=old)
     assert missed.max_rel_error > old_error
+
+
+def test_minus_kernel_weights_divide_by_the_stable_rho_lambda():
+    mode = redraw(*CANCELLING)
+    c = mode.constants
+    assert mode.abs_xi == pytest.approx(61.13223189)
+    assert (c.rho, c.mu, c.epsilon) == pytest.approx((0.1395260, 5.3290579, 0.01))
+    assert mode.lam == pytest.approx(0.03005346j)
+    _, relation, alpha, _, _ = CANCELLING
+    assert verify_trace_relations([mode], alpha, relation).max_rel_error < 1e-13
 
 
 def test_apply_kernel_window_is_the_decay_sum():
