@@ -33,6 +33,11 @@ import os
 import click
 import numpy as np
 
+# numpy loads these on first use; load them here, so that their import
+# counts as start-up rather than as the first campaign's work
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .energy import classify_bc
 from .errors import (
     ConfigError,

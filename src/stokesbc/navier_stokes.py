@@ -34,11 +34,12 @@ solve for vbar with vbar(0) = vbar(Y) = 0, and the hydrostatic integration
 pbar' = rho Fbar_y with pbar(Y) = 0.
 
 Every solve above is a fixed real linear map for a given (mode, dt).  The
-stepper builds their explicit inverses (LU factors solved against the
-identity) once per dt, stacked over the modes, so a resolvent solve is one
-rfft, one stacked matmul per stage and one irfft, with no Python work per
-mode (the usual practice for Chebyshev-Fourier solvers, Haidvogel & Zang,
-J. Comput. Phys. 30, 1979).  Only the current dt's operators are kept.
+stepper builds their explicit inverses once per dt: the three stages'
+matrices of every mode are stacked and inverted by one np.linalg.inv call,
+so a resolvent solve is one rfft, one stacked matmul per stage and one
+irfft, with no Python work per mode (the usual practice for
+Chebyshev-Fourier solvers, Haidvogel & Zang, J. Comput. Phys. 30, 1979).
+Only the current dt's operators are kept.
 The convective datum is built the same way: grad u is one rfft, the
 x-part i xi and the y-part the Chebyshev matrix applied per mode, and one
 irfft.  Both use energy._apply, real (n, n) operators on a complex (K, n)
@@ -55,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .energy import _apply, _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
@@ -186,15 +186,15 @@ def _dirichlet(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _inverse(mat: np.ndarray, zero_datum_rows=(0, -1)) -> np.ndarray:
-    """Explicit inverse of mat: its LU factors solved against the identity.
+def _inverse(mats: np.ndarray, zero_datum_rows=(0, -1)) -> np.ndarray:
+    """Explicit inverses of a (..., n, n) stack, in one np.linalg.inv call.
 
     The boundary rows in zero_datum_rows always carry a zero datum, so
-    their columns are zeroed: the operator ignores those entries of the
+    their columns are zeroed: each operator ignores those entries of the
     right-hand side.
     """
-    inv = lu_solve(lu_factor(mat), np.eye(len(mat)))
-    inv[:, list(zero_datum_rows)] = 0.0
+    inv = np.linalg.inv(mats)
+    inv[..., list(zero_datum_rows)] = 0.0
     return inv
 
 
@@ -235,21 +235,20 @@ class NsStepper:
         eye = np.eye(n)
         wall_row = self.dy[0]
         xi = self.xi[1 : self._last]
-        pressure = np.empty((len(xi), n, n))
-        velocity_x = np.empty((len(xi), n, n))
-        velocity_y = np.empty((len(xi), n, n))
+        # stage 1 pressure, stage 2 vhat and what, for every mode
+        stages = np.empty((3, len(xi), n, n))
         unit = np.empty((3, len(xi), n), dtype=complex)
         shifted = FluidConstants(rho, mu, 1.0 / dt)
         for k, x in enumerate(xi):
-            pressure[k] = _inverse(_dirichlet(x**2 * eye - self.dy2))
-            helm = _dirichlet((rho / dt + mu * x**2) * eye - mu * self.dy2)
-            velocity_x[k] = _inverse(helm)
+            stages[0, k] = _dirichlet(x**2 * eye - self.dy2)
+            stages[1, k] = _dirichlet((rho / dt + mu * x**2) * eye - mu * self.dy2)
             # (D what)(0) = 0 is the divergence-trace row once vhat(0) = 0
-            helm[0] = wall_row
-            velocity_y[k] = _inverse(helm)
+            stages[2, k] = stages[1, k]
+            stages[2, k, 0] = wall_row
             corr = solve_mode(derive_mode(shifted, 0.0, (x,)), _NS_BC, 1.0)
             unit[:2, k] = corr.velocity.evaluate(self.y)
             unit[2, k] = corr.pressure(self.y)
+        pressure, velocity_x, velocity_y = _inverse(stages)
 
         mean_velocity = _inverse(_dirichlet((rho / dt) * eye - mu * self.dy2))
         hydrostatic = self.dy.copy()
@@ -418,3 +417,12 @@ def run_simulation(
         rejected_steps=rejected,
         dt_halvings=halvings,
     )
+
+
+def __getattr__(name: str):
+    # only perfbench/spans.py asks for these; ROADMAP item 4's benchmark change deletes this
+    if name in ("lu_factor", "lu_solve"):
+        import scipy.linalg
+
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

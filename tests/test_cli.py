@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,16 @@ def test_help_lists_verbs(runner):
     assert result.exit_code == 0
     for verb in ("verify-symbols", "verify-traces", "solve", "energy-audit", "run-ns"):
         assert verb in result.output
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = "import sys, stokesbc.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_out_flag_is_required(runner):

@@ -263,17 +263,26 @@ def test_operators_built_once_per_mode_and_dt(monkeypatch):
 
         return wrapper
 
+    inverted = []
+    original_inverse = ns._inverse
+
+    def recorded_inverse(mats, *args, **kwargs):
+        inverted.append(mats.shape)
+        return original_inverse(mats, *args, **kwargs)
+
     monkeypatch.setattr(ns, "solve_mode", counted("solve_mode", ns.solve_mode))
-    monkeypatch.setattr(ns, "lu_factor", counted("lu_factor", ns.lu_factor))
+    monkeypatch.setattr(ns, "_inverse", recorded_inverse)
     grid = cheb_grid(nx=16, ny=49)
     stepper = NsStepper(CONSTANTS, grid)
     result = run_simulation(stepper, small_field(grid), dt=0.02, n_steps=3)
     assert result.status == "completed"
     assert result.picard_iterations > 3
     n_modes = 7  # modes 1..7; the mean mode has its own two operators
+    # one batched inverse for the three stages of every mode, two for the mean mode
+    per_dt = [(3, n_modes, 49, 49), (49, 49), (49, 49)]
     assert calls["solve_mode"] == n_modes
-    assert calls["lu_factor"] == 3 * n_modes + 2
+    assert inverted == per_dt
     # a new dt rebuilds every operator once more
     stepper.step(result.states[-1], 0.01)
     assert calls["solve_mode"] == 2 * n_modes
-    assert calls["lu_factor"] == 2 * (3 * n_modes + 2)
+    assert inverted == 2 * per_dt
