@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -473,7 +474,7 @@ def _wall_traces(batch: ModeBatch, kind: str, dirichlet: bool, cfg: QuadratureCf
 
 
 def verify_trace_relations(
-    modes,
+    modes: ModeBatch | Iterable[ModeParams],
     alpha: int,
     relation: str,
     cfg: QuadratureCfg | None = None,
@@ -487,7 +488,8 @@ def verify_trace_relations(
     (-d_y p(0) = 1) and test multiplier * [what](0) = 1 with the beta = 0
     trace multiplier.  'T11' (any alpha) drives by the Dirichlet extension
     (p(0) = 1) and tests S^alpha * (-2 mu [d_y what](0) + [p](0)) = 1.
-    All modes are integrated as one stack (adaptive_integrate_stack).
+    modes is a ModeBatch or ModeParams of one dimension; all modes are
+    integrated as one stack (adaptive_integrate_stack).
     """
     if relation not in _RELATION_ALPHAS:
         raise ValueError(f"relation must be one of {sorted(_RELATION_ALPHAS)}")
@@ -495,11 +497,14 @@ def verify_trace_relations(
         raise ValueError(f"relation {relation} does not apply to alpha = {alpha}")
     if cfg is None:
         cfg = QuadratureCfg()
-    modes = list(modes)
-    if not modes:
-        return VerificationReport(relation, alpha, rel_tol, 0, 0.0, True)
+    if isinstance(modes, ModeBatch):
+        batch = modes
+    else:
+        modes = list(modes)
+        if not modes:
+            return VerificationReport(relation, alpha, rel_tol, 0, 0.0, True)
+        batch = ModeBatch.from_modes(modes)
 
-    batch = ModeBatch.from_modes(modes)
     dirichlet = relation == "T11"
     quad = _wall_traces(batch, _KW_BY_ALPHA[alpha], dirichlet, cfg)
     if dirichlet:
@@ -511,17 +516,17 @@ def verify_trace_relations(
         recovered = trace_multiplier(batch, BcSpec(alpha, 0)) * -quad.value
     rel_error = np.abs(recovered - 1.0)
 
+    columns = {
+        "abs_xi": batch.abs_xi,
+        "lambda_re": batch.lam.real,
+        "lambda_im": batch.lam.imag,
+        "rho": batch.rho,
+        "mu": batch.mu,
+        "epsilon": batch.epsilon,
+        "rel_error": rel_error,
+    }
     entries = tuple(
-        {
-            "abs_xi": mode.abs_xi,
-            "lambda_re": mode.lam.real,
-            "lambda_im": mode.lam.imag,
-            "rho": mode.constants.rho,
-            "mu": mode.constants.mu,
-            "epsilon": mode.constants.epsilon,
-            "rel_error": float(err),
-        }
-        for mode, err in zip(modes, rel_error)
+        dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))
     )
     max_err = float(np.max(rel_error))
     return VerificationReport(

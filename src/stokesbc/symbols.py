@@ -315,6 +315,31 @@ class ModeBatch:
             omega=np.array([m.omega for m in modes]),
         )
 
+    @classmethod
+    def concat(cls, batches) -> "ModeBatch":
+        """The modes of batches, one after another, omega included."""
+        fields = ("rho", "mu", "epsilon", "lam", "xi", "omega")
+        return cls(*(np.concatenate([getattr(b, f) for b in batches]) for f in fields))
+
+    def check_admissible(self) -> "ModeBatch":
+        """self, after the admissibility checks derive_mode makes per mode:
+        rho, mu, epsilon finite and > 0, lam finite with Re lam >= 0, xi
+        finite.  Raises InvalidModeError naming the first offending mode."""
+        checks = [
+            (f"{name} must be finite and > 0", val, np.isfinite(val) & (val > 0.0))
+            for name, val in (("rho", self.rho), ("mu", self.mu), ("epsilon", self.epsilon))
+        ]
+        checks += [
+            ("lambda must be finite", self.lam, np.isfinite(self.lam)),
+            ("Re lambda must be >= 0", self.lam, self.lam.real >= 0.0),
+            ("xi must be finite", self.xi, np.all(np.isfinite(self.xi), axis=1)),
+        ]
+        for what, val, ok in checks:
+            if not np.all(ok):
+                i = int(np.argmin(ok))
+                raise InvalidModeError(f"{what}, got {val[i]} at mode {i}")
+        return self
+
     def extended(self) -> "ModeBatch":
         """The same modes with every derived symbol, omega included,
         recomputed from the parameters in np.clongdouble."""

@@ -399,3 +399,126 @@ def test_reports_embed_resolved_config(runner, tmp_path):
     assert cfg["seed"] == 2024
     assert cfg["identity_tol"] == 1e-12
     assert cfg["abs_xi_range"] == [0.01, 100.0]
+
+
+# ---------------------------------------------------------------------------
+# batch mode draws
+# ---------------------------------------------------------------------------
+
+MODE_FIELDS = ("rho", "mu", "epsilon", "lam", "xi", "omega")
+
+
+def scalar_draws(key, cfg, count):
+    rng = np.random.default_rng(key)
+    return cli.ModeBatch.from_modes([cli._draw_constants(rng, cfg) for _ in range(count)])
+
+
+def assert_same_modes(batch, reference):
+    for name in MODE_FIELDS:
+        got, want = getattr(batch, name), getattr(reference, name)
+        assert np.array_equal(got, want), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture()
+def fresh_layout_check():
+    cli._raw_layout_holds.cache_clear()
+    yield
+    cli._raw_layout_holds.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [2024, 1, 72])
+@pytest.mark.parametrize("choices", [[2.5], [0.5, 3], [1.0e-2, 1.0, 1.0e2]])
+def test_batch_draw_is_the_scalar_loop(seed, choices):
+    cfg = {**cli._DEFAULTS["verify-symbols"], "epsilon_choices": choices}
+    assert cli._raw_layout_holds()
+    for count in (1, 2, 18, 19, 625):
+        for key in ([seed, 5], [seed, 1, 0, 11]):
+            batch = cli._draw_modes(np.random.default_rng(key), cfg, count)
+            assert_same_modes(batch, scalar_draws(key, cfg, count))
+
+
+def test_lemire_rejection_matches_numpy():
+    """The rejection rule is numpy's: for a range where a quarter of all
+    words are rejected, an accepted first word gives integers() its value."""
+    k = 3 * 2**30
+    accepted = rejected = 0
+    for seed in range(40):
+        word = np.random.default_rng(seed).bit_generator.random_raw(1)
+        scaled = (word & cli._LOW32) * np.uint64(k)
+        if cli._lemire_rejects(scaled, k)[0]:
+            rejected += 1
+        else:
+            accepted += 1
+            index = int(scaled[0] >> np.uint64(32))
+            assert np.random.default_rng(seed).integers(0, k) == index
+    assert accepted and rejected
+
+
+def test_rejected_index_word_falls_back_to_the_scalar_loop(monkeypatch):
+    cfg = cli._DEFAULTS["verify-symbols"]
+    monkeypatch.setattr(cli, "_lemire_rejects", lambda scaled, k: np.ones(len(scaled), bool))
+    rng = np.random.default_rng([7, 3])
+    assert cli._draw_modes_raw(rng, cfg, 19) is None
+    # the state is put back, so the fallback sees the chunk's whole stream
+    assert_same_modes(cli._draw_modes(rng, cfg, 19), scalar_draws([7, 3], cfg, 19))
+
+
+def test_layout_mismatch_runs_the_scalar_loop(monkeypatch, fresh_layout_check):
+    cfg = cli._DEFAULTS["verify-symbols"]
+    raw = cli._draw_modes_raw
+
+    def shifted(rng, cfg, count):
+        batch = raw(rng, cfg, count)
+        xi = np.nextafter(batch.xi, np.inf)
+        return cli.ModeBatch(batch.rho, batch.mu, batch.epsilon, batch.lam, xi)
+
+    monkeypatch.setattr(cli, "_draw_modes_raw", shifted)
+    assert not cli._raw_layout_holds()
+    batch = cli._draw_modes(np.random.default_rng([7, 3]), cfg, 19)
+    assert_same_modes(batch, scalar_draws([7, 3], cfg, 19))
+
+
+def test_batch_draw_validates_like_the_scalar_loop():
+    cfg = {**cli._DEFAULTS["verify-symbols"], "epsilon_choices": [-1.0, 1.0]}
+    with pytest.raises(cli.InvalidModeError, match="epsilon"):
+        cli._draw_modes(np.random.default_rng(0), cfg, 16)
+    with pytest.raises(cli.InvalidModeError, match="epsilon"):
+        scalar_draws(0, cfg, 16)
+
+
+# first mode of chunks 0 and 15 at seed 2024, for the verify-symbols stream
+# keying [seed, chunk] and the verify-traces keying [seed, ri, alpha + 1, chunk]
+# of T00: (rho, mu, epsilon, lam, xi, omega)
+PINNED_DRAWS = {
+    (2024, 0): "(3.971295407453055, 9.808536165558511, 0.01, 21.432320123825765j, "
+    "(5.050395064732896,), (16.039357336936686+2.6532881801568697j))",
+    (2024, 15): "(0.26997576959248104, 1.2557034410742998, 0.01, 59.86544477989519j, "
+    "(0.831806271805181,), (2.920378684119192+2.7671444827236553j))",
+    (2024, 0, 1, 0): "(0.8587700453317249, 8.09334598371778, 100.0, 75.90495139660773j, "
+    "(17.845210346017023,), (51.61021450579898+0.6315116026541892j))",
+    (2024, 0, 1, 15): "(1.3613137924089436, 2.5649521958745836, 1.0, 86.61990818221726j, "
+    "(0.03238724358556108,), (7.722977688780644+7.6341587699359374j))",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_DRAWS))
+def test_mode_stream_is_pinned(key):
+    verb = "verify-symbols" if len(key) == 2 else "verify-traces"
+    cfg = cli._DEFAULTS[verb]
+    count = cli._chunk_counts(cfg["n_modes"])[key[-1]]
+    batch = cli._draw_modes(np.random.default_rng(list(key)), cfg, count)
+    first = tuple(getattr(batch, name)[0].item() for name in ("rho", "mu", "epsilon", "lam"))
+    first += (tuple(batch.xi[0].tolist()), batch.omega[0].item())
+    assert repr(first) == PINNED_DRAWS[key]
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [("verify-symbols", {"n_modes": 3}), ("verify-traces", {"n_modes": 3, "relations": ["T00"]})],
+)
+def test_sweeps_skip_empty_chunks(runner, tmp_path, verb, config):
+    result, out = invoke(runner, verb, tmp_path, config)
+    assert result.exit_code == 0, result.output
+    rows = read_rows(out / f"{verb.replace('-', '_')}.csv")
+    assert [(r["chunk"], r["index"]) for r in rows] == [("0", "0"), ("1", "0"), ("2", "0")]

@@ -273,3 +273,26 @@ def test_mode_batch_rejects_mixed_dimensions():
         ModeBatch.from_modes([draw_mode(rng, 1), draw_mode(rng, 2)])
     with pytest.raises(InvalidModeError):
         ModeBatch.from_modes([])
+
+
+@pytest.mark.parametrize(
+    "slot, value, named",
+    [
+        ("rho", 0.0, "rho"),
+        ("mu", np.nan, "mu"),
+        ("epsilon", -1.0, "epsilon"),
+        ("lam", complex(np.inf, 0.0), "lambda must be finite"),
+        ("lam", -1.0 + 2.0j, "Re lambda"),
+        ("xi", np.nan, "xi"),
+    ],
+)
+def test_mode_batch_admissibility_check(slot, value, named):
+    rng = np.random.default_rng(3)
+    good = ModeBatch.from_modes([draw_mode(rng) for _ in range(5)])
+    assert good.check_admissible() is good
+    names = ("rho", "mu", "epsilon", "lam", "xi", "omega")
+    fields = {name: getattr(good, name).copy() for name in names}
+    fields[slot][3] = value
+    with pytest.raises(InvalidModeError, match=named) as err:
+        ModeBatch(**fields).check_admissible()
+    assert "at mode 3" in str(err.value)
