@@ -290,10 +290,16 @@ def _csv_cell(value) -> str:
 
 
 def _write_csv(path, header: list[str], rows: list[tuple]) -> None:
+    # a plain float is repr'd directly; numpy scalars, whose numpy-2 repr is
+    # np.float64(...), and every other type go through _csv_cell.  Rows are
+    # written one at a time: joining them first raised symbol-sweep's peak RSS.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+            fh.write(
+                ",".join(repr(v) if type(v) is float else _csv_cell(v) for v in row)
+                + "\n"
+            )
 
 
 def _write_report(out_dir: str, name: str, report: dict) -> str:

@@ -555,24 +555,27 @@ def write_field_csv(path, field: SampledField) -> None:
     Rows run over x (outer) then y (inner); floats are printed with repr,
     which round-trips exactly, so re-reading and re-writing is
     byte-identical.
+
+    The file is streamed one x-row at a time: each x and y node is
+    formatted once, a row's values are read as plain floats through
+    tolist(), and only that row's text is held in memory.
     """
-    lines = [",".join(_CSV_COLUMNS)]
-    for i in range(len(field.x)):
-        xv = float(field.x[i])
-        for j in range(len(field.y)):
-            lines.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        xv,
-                        field.y[j],
-                        field.velocity[0, i, j],
-                        field.velocity[1, i, j],
-                        field.pressure[i, j],
+    u_x, u_y, p = (
+        np.asarray(a, dtype=np.float64) for a in (*field.velocity, field.pressure)
+    )
+    y_text = [repr(v) for v in field.y.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        for i, x in enumerate(field.x.tolist()):
+            x_text = repr(x)
+            fh.write(
+                "".join(
+                    f"{x_text},{y},{a!r},{b!r},{c!r}\n"
+                    for y, a, b, c in zip(
+                        y_text, u_x[i].tolist(), u_y[i].tolist(), p[i].tolist()
                     )
                 )
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_field_csv(path) -> dict:

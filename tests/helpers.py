@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import heapq
+from pathlib import Path
 
 import numpy as np
 
 from stokesbc import FluidConstants, derive_mode
+from stokesbc.cli import _csv_cell
 from stokesbc.halfspace import ModeSolution
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 from stokesbc.quadrature import gauss_kronrod_15
@@ -108,3 +110,35 @@ def reference_adaptive_integrate(f, a, b, rel_tol, max_subdivisions=2000):
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
         counter += 2
     return total, total_err, len(heap)
+
+
+def reference_write_field_csv(path, field):
+    """The per-cell field writer the streamed halfspace.write_field_csv
+    replaced: every cell read by index and repr'd, the whole file joined in
+    memory and written at once."""
+    lines = ["x,y,u_x,u_y,p"]
+    for i in range(len(field.x)):
+        xv = float(field.x[i])
+        for j in range(len(field.y)):
+            lines.append(
+                ",".join(
+                    repr(float(v))
+                    for v in (
+                        xv,
+                        field.y[j],
+                        field.velocity[0, i, j],
+                        field.velocity[1, i, j],
+                        field.pressure[i, j],
+                    )
+                )
+            )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell loop cli._write_csv replaced: every cell through
+    _csv_cell, one write per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import reference_write_csv
 
 from stokesbc import QuadratureCfg, cli, verify_trace_relations
 from stokesbc.cli import main
@@ -388,6 +389,21 @@ def test_run_ns_deterministic(runner, tmp_path):
     second, out2 = invoke(runner, "run-ns", tmp_path, cfg, name="b")
     assert first.exit_code == second.exit_code == 0
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+def test_write_csv_matches_the_per_cell_writer(tmp_path):
+    header = ["flag", "a", "b", "n", "m", "name", "c"]
+    rows = [
+        (True, np.float64(0.1), 0.30000000000000004, np.int64(-3), 7, "T00", -0.0),
+        (False, np.float64(-0.0), float("nan"), np.int64(0), -2, "a,b", float("inf")),
+        (np.bool_(True), np.float32(0.1), 5e-324, np.int32(5), 0, "", 1e16),
+    ]
+    cli._write_csv(tmp_path / "fast.csv", header, rows)
+    reference_write_csv(tmp_path / "reference.csv", header, rows)
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    assert b"np." not in text
+    assert text.splitlines()[1] == b"true,0.1,0.30000000000000004,-3,7,T00,-0.0"
 
 
 def test_reports_embed_resolved_config(runner, tmp_path):

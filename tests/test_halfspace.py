@@ -1,6 +1,7 @@
 """Mode solver boundary contract, splitting round-trip, sampled-field I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     complex_amp,
     draw_mode,
     manufacture_solution,
+    reference_write_field_csv,
     solution_sup_gap,
 )
 from stokesbc import (
@@ -20,6 +22,7 @@ from stokesbc import (
     InvalidModeError,
     NsStepper,
     ProfileError,
+    SampledField,
     canonical_json,
     derive_mode,
     field_manifest,
@@ -217,7 +220,7 @@ def test_sampled_field_nodes_come_from_the_grid():
     field = synthesized_field()
     assert np.array_equal(field.x, field.grid.x_nodes())
     assert np.array_equal(field.y, field.grid.y_nodes())
-    # computed once: the CSV writer reads y once per row
+    # computed on first use and cached on the field
     assert field.y is field.y
 
 
@@ -234,6 +237,70 @@ def test_field_csv_round_trip(tmp_path):
     # repr-formatted floats survive a second trip byte-identically
     write_field_csv(tmp_path / "again.csv", field)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("x_count", [15, 16])
+@pytest.mark.parametrize(
+    "y_kind, y_grading", [("uniform", 0.0), ("graded", 3.0), ("cheb", 0.0)]
+)
+def test_field_csv_matches_the_per_cell_writer(tmp_path, x_count, y_kind, y_grading):
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, x_count, 8.0, 33, y_grading, y_kind)
+    sols = {
+        k: solve_mode(
+            derive_mode(constants, 0.5j, (grid.wavenumber(k),)),
+            BcSpec(0, 1),
+            (1.0 + 0.7j) / k,
+        )
+        for k in (1, 2, 3)
+    }
+    field = synthesize_field(constants, sols, grid)
+    write_field_csv(tmp_path / "streamed.csv", field)
+    reference_write_field_csv(tmp_path / "reference.csv", field)
+    assert (tmp_path / "streamed.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()
+
+
+def test_field_csv_matches_the_per_cell_writer_on_special_floats(tmp_path):
+    grid = GridSpec(2.0 * np.pi, 3, 1.0, 4)
+    special = [-0.0, 5e-324, 1e16, 1.0, np.nan, np.inf, -np.inf, 0.1 + 0.2]
+    values = np.resize(np.array(special), 3 * 3 * 4).reshape(3, 3, 4)
+    field = SampledField(grid, FluidConstants(1.0, 1.0, 1.0), values[:2], values[2])
+    write_field_csv(tmp_path / "streamed.csv", field)
+    reference_write_field_csv(tmp_path / "reference.csv", field)
+    text = (tmp_path / "streamed.csv").read_bytes()
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    for token in (b"-0.0", b"5e-324", b"1e+16", b"nan", b"-inf", b"0.30000000000000004"):
+        assert token in text
+    # integer samples are written as floats, as the per-cell writer's float() did
+    ints = SampledField(grid, field.constants, np.ones((2, 3, 4), int), np.zeros((3, 4), int))
+    write_field_csv(tmp_path / "streamed.csv", ints)
+    reference_write_field_csv(tmp_path / "reference.csv", ints)
+    text = (tmp_path / "streamed.csv").read_bytes()
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    assert text.splitlines()[1] == b"0.0,0.0,1.0,1.0,0.0"
+
+
+def test_field_csv_is_written_one_row_at_a_time(tmp_path):
+    # the whole-file writer peaks near 20 MB on this grid, the streamed one
+    # near 0.1 MB: the file's text is never held in memory at once
+    grid = GridSpec(2.0 * np.pi, 256, 8.0, 257)
+    rng = np.random.default_rng(7)
+    field = SampledField(
+        grid,
+        FluidConstants(1.0, 1.0, 1.0),
+        rng.standard_normal((2, 256, 257)),
+        rng.standard_normal((256, 257)),
+    )
+    tracemalloc.start()
+    try:
+        write_field_csv(tmp_path / "field.csv", field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "field.csv").stat().st_size > 5_000_000
+    assert peak < 2_000_000
 
 
 def test_manifest_round_trip_bit_exact(tmp_path):
