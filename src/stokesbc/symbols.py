@@ -54,8 +54,10 @@ Each case factors as B = diag(d_t I, d_n) M with d_t = omega (alpha = 0) or
 inverses implemented in closed_form_inverse.
 
 The symbol functions work on a ModeBatch of N modes as (N, n, n) array
-arithmetic; a single ModeParams is a batch of one through the same code, so
-a batched sweep checks exactly the numbers a single-mode solve uses.
+arithmetic.  ModeBatch is the one place the derived symbols are computed; a
+single ModeParams is a view of a batch of one mode, so its symbols and every
+symbol function applied to it run the batch code, and a batched sweep checks
+exactly the numbers a single-mode solve uses.
 
 Trace multipliers (trace_multiplier) relate the scalar datum h_w to the
 pressure co-trace of the solved mode:
@@ -72,7 +74,6 @@ pressure co-trace of the solved mode:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -118,46 +119,43 @@ class FluidConstants:
                 raise InvalidModeError(f"{name} must be finite and > 0, got {val}")
 
 
+def _entry(name: str, doc: str) -> property:
+    """A ModeParams property: the one entry of its batch's symbol name, as a
+    Python scalar."""
+    return property(lambda self: getattr(self.batch, name).item(), doc=doc)
+
+
 @dataclass(frozen=True)
 class ModeParams:
-    """One tangential-frequency / resolvent-parameter point.
+    """One tangential-frequency / resolvent-parameter point: a view of a
+    ModeBatch of one mode.
 
-    Carries the derived symbols used everywhere downstream:
-    lambda_eps = epsilon + lam, zeta = sqrt(mu) xi, kappa = rho sqrt(mu),
-    omega = sqrt(rho lambda_eps + mu |xi|^2) on the principal branch.
-    Build instances through derive_mode, which validates admissibility.
+    batch holds the mode's parameters and derives its symbols (lambda_eps,
+    kappa, omega, zeta, ...; see ModeBatch); the properties here return the
+    batch's entry as a Python scalar, so a single mode and a batch share one
+    derivation.  Build instances through derive_mode; construction runs the
+    batch's admissibility check.
     """
 
     constants: FluidConstants
     lam: complex
     xi: tuple[float, ...]
-    lambda_eps: complex = field(init=False)
-    kappa: float = field(init=False)
-    omega: complex = field(init=False)
+    batch: ModeBatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lam = complex(self.lam)
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            raise InvalidModeError(f"lambda must be finite, got {lam}")
-        if lam.real < 0.0:
-            raise InvalidModeError(f"Re lambda must be >= 0, got {lam}")
         xi = tuple(float(c) for c in self.xi)
-        if len(xi) < 1:
-            raise InvalidModeError("xi must have at least one component (n >= 2)")
-        if not all(math.isfinite(c) for c in xi):
-            raise InvalidModeError(f"xi must be finite, got {xi}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "xi", xi)
         c = self.constants
-        lam_eps = c.epsilon + lam
-        object.__setattr__(self, "lambda_eps", lam_eps)
-        object.__setattr__(self, "kappa", c.rho * math.sqrt(c.mu))
-        # Re(rho lambda_eps + mu |xi|^2) >= rho epsilon > 0, so the argument
-        # never touches the branch cut and Re omega > 0.
-        arg = c.rho * lam_eps + c.mu * self.abs_xi_sq
-        object.__setattr__(self, "omega", cmath.sqrt(arg))
-
-    # -- derived scalars ---------------------------------------------------
+        batch = ModeBatch(
+            rho=np.array([c.rho], dtype=float),
+            mu=np.array([c.mu], dtype=float),
+            epsilon=np.array([c.epsilon], dtype=float),
+            lam=np.array([lam]),
+            xi=np.array([xi]),
+        )
+        object.__setattr__(self, "batch", batch.check_admissible())
 
     @property
     def n(self) -> int:
@@ -165,39 +163,19 @@ class ModeParams:
         return len(self.xi) + 1
 
     @property
-    def abs_xi_sq(self) -> float:
-        return float(sum(c * c for c in self.xi))
-
-    @property
-    def abs_xi(self) -> float:
-        return math.sqrt(self.abs_xi_sq)
-
-    @property
     def zeta(self) -> np.ndarray:
-        return math.sqrt(self.constants.mu) * np.array(self.xi, dtype=float)
+        """sqrt(mu) xi, a fresh array."""
+        return self.batch.zeta[0].copy()
 
-    @property
-    def abs_zeta(self) -> float:
-        return math.sqrt(self.constants.mu) * self.abs_xi
-
-    @property
-    def sqmu(self) -> float:
-        return math.sqrt(self.constants.mu)
-
-    @property
-    def rho_lam(self) -> complex:
-        """rho lambda_eps = omega^2 - |zeta|^2."""
-        return self.constants.rho * self.lambda_eps
-
-    @property
-    def rate_fast(self) -> complex:
-        """Decay rate omega/sqrt(mu) of the viscous ansatz column."""
-        return self.omega / math.sqrt(self.constants.mu)
-
-    @property
-    def rate_slow(self) -> float:
-        """Decay rate |xi| of the pressure (harmonic) ansatz column."""
-        return self.abs_xi
+    lambda_eps = _entry("lambda_eps", "epsilon + lam.")
+    kappa = _entry("kappa", "rho sqrt(mu).")
+    omega = _entry("omega", "sqrt(rho lambda_eps + mu |xi|^2), principal branch.")
+    abs_xi = _entry("abs_xi", "|xi|.")
+    abs_zeta = _entry("abs_zeta", "|zeta| = sqrt(mu) |xi|.")
+    sqmu = _entry("sqmu", "sqrt(mu).")
+    rho_lam = _entry("rho_lam", "rho lambda_eps = omega^2 - |zeta|^2.")
+    rate_fast = _entry("rate_fast", "Decay rate omega/sqrt(mu) of the viscous ansatz column.")
+    rate_slow = _entry("abs_xi", "Decay rate |xi| of the pressure (harmonic) ansatz column.")
 
 
 _VALID_AB = (-1, 0, 1)
@@ -268,8 +246,8 @@ SYMBOL_BCS = tuple(BcSpec(a, b) for b in (0, 1) for a in (0, 1, -1))
 def derive_mode(constants: FluidConstants, lam: complex, xi) -> ModeParams:
     """Validate and derive a mode-parameter point.
 
-    Rejects Re lam < 0, non-finite lam or xi, and (via FluidConstants)
-    nonpositive rho/mu/epsilon.
+    Rejects Re lam < 0, non-finite lam or xi, an empty xi (n < 2) and
+    (via FluidConstants) nonpositive rho/mu/epsilon.
     """
     if np.ndim(xi) == 0:
         xi = (xi,)
@@ -281,9 +259,11 @@ class ModeBatch:
     """N modes of one dimension n, as arrays over a leading mode axis.
 
     Holds each mode's parameters rho, mu, epsilon, lam (shape (N,)) and xi
-    (shape (N, n-1)); the derived symbols of ModeParams are computed from them
-    elementwise, on first use, in the arrays' own precision.  omega, when not
-    given, is sqrt(rho lambda_eps + mu |xi|^2) on the principal branch.  The
+    (shape (N, n-1)).  This is the one place the mode symbols are derived:
+    lambda_eps = epsilon + lam, kappa = rho sqrt(mu), zeta = sqrt(mu) xi,
+    omega = sqrt(rho lambda_eps + mu |xi|^2) on the principal branch and the
+    decay rates, each elementwise, on first use, in the arrays' own
+    precision.  A ModeParams reads its symbols from a batch of one.  The
     symbol functions of this module take a ModeBatch wherever they take a
     ModeParams and then return one result per mode.
     """
@@ -293,38 +273,27 @@ class ModeBatch:
     epsilon: np.ndarray
     lam: np.ndarray
     xi: np.ndarray
-    omega: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.omega is None:
-            omega = np.sqrt(self.rho_lam + self.mu * self.xi_sq)
-            object.__setattr__(self, "omega", omega)
 
     @classmethod
     def from_modes(cls, modes) -> "ModeBatch":
-        """Batch of ModeParams in complex128, with omega as each mode carries it."""
+        """The batches of ModeParams of one dimension, one after another."""
         if len({m.n for m in modes}) != 1:
             raise InvalidModeError("a ModeBatch needs at least one mode, all of one dimension n")
-        cs = [m.constants for m in modes]
-        return cls(
-            rho=np.array([c.rho for c in cs]),
-            mu=np.array([c.mu for c in cs]),
-            epsilon=np.array([c.epsilon for c in cs]),
-            lam=np.array([m.lam for m in modes]),
-            xi=np.array([m.xi for m in modes]),
-            omega=np.array([m.omega for m in modes]),
-        )
+        return cls.concat([m.batch for m in modes])
 
     @classmethod
     def concat(cls, batches) -> "ModeBatch":
-        """The modes of batches, one after another, omega included."""
-        fields = ("rho", "mu", "epsilon", "lam", "xi", "omega")
+        """The modes of batches, one after another."""
+        fields = ("rho", "mu", "epsilon", "lam", "xi")
         return cls(*(np.concatenate([getattr(b, f) for b in batches]) for f in fields))
 
     def check_admissible(self) -> "ModeBatch":
-        """self, after the admissibility checks derive_mode makes per mode:
-        rho, mu, epsilon finite and > 0, lam finite with Re lam >= 0, xi
-        finite.  Raises InvalidModeError naming the first offending mode."""
+        """self, after the admissibility checks: at least one tangential
+        component (n >= 2); rho, mu, epsilon finite and > 0; lam finite with
+        Re lam >= 0; xi finite.  Raises InvalidModeError naming the first
+        offending mode."""
+        if self.xi.shape[1] < 1:
+            raise InvalidModeError("xi must have at least one component (n >= 2)")
         checks = [
             (f"{name} must be finite and > 0", val, np.isfinite(val) & (val > 0.0))
             for name, val in (("rho", self.rho), ("mu", self.mu), ("epsilon", self.epsilon))
@@ -332,17 +301,17 @@ class ModeBatch:
         checks += [
             ("lambda must be finite", self.lam, np.isfinite(self.lam)),
             ("Re lambda must be >= 0", self.lam, self.lam.real >= 0.0),
-            ("xi must be finite", self.xi, np.all(np.isfinite(self.xi), axis=1)),
+            ("xi must be finite", self.xi, np.isfinite(self.xi).all(axis=1)),
         ]
         for what, val, ok in checks:
-            if not np.all(ok):
+            if not ok.all():
                 i = int(np.argmin(ok))
                 raise InvalidModeError(f"{what}, got {val[i]} at mode {i}")
         return self
 
     def extended(self) -> "ModeBatch":
-        """The same modes with every derived symbol, omega included,
-        recomputed from the parameters in np.clongdouble."""
+        """The same modes in np.clongdouble, so that every derived symbol is
+        computed from the parameters in extended precision."""
         ld = np.longdouble
         return ModeBatch(
             rho=self.rho.astype(ld),
@@ -363,9 +332,13 @@ class ModeBatch:
         return self.xi.shape[1] + 1
 
     @cached_property
+    def lambda_eps(self) -> np.ndarray:
+        return self.epsilon + self.lam
+
+    @cached_property
     def rho_lam(self) -> np.ndarray:
         """rho lambda_eps = omega^2 - |zeta|^2."""
-        return self.rho * (self.epsilon + self.lam)
+        return self.rho * self.lambda_eps
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
@@ -380,6 +353,19 @@ class ModeBatch:
         return np.sqrt(self.mu)
 
     @cached_property
+    def kappa(self) -> np.ndarray:
+        return self.rho * self.sqmu
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """sqrt(rho lambda_eps + mu |xi|^2) on the principal branch.
+
+        Re(rho lambda_eps + mu |xi|^2) >= rho epsilon > 0 for an admissible
+        mode, so the argument never touches the branch cut and Re omega > 0.
+        """
+        return np.sqrt(self.rho_lam + self.mu * self.xi_sq)
+
+    @cached_property
     def zeta(self) -> np.ndarray:
         return self.sqmu[:, None] * self.xi
 
@@ -389,8 +375,16 @@ class ModeBatch:
 
     @cached_property
     def rate_fast(self) -> np.ndarray:
-        """Decay rate omega/sqrt(mu) of the viscous ansatz column."""
-        return self.omega / self.sqmu
+        """Decay rate omega/sqrt(mu) of the viscous ansatz column.
+
+        The real and imaginary parts are divided separately, as a complex
+        divided by a real is in Python; numpy's complex division would
+        multiply by the reciprocal and round differently.
+        """
+        rate = np.empty_like(self.omega)
+        rate.real = self.omega.real / self.sqmu
+        rate.imag = self.omega.imag / self.sqmu
+        return rate
 
 
 def _check_bc_for_symbol(bc: BcSpec) -> None:
@@ -403,7 +397,7 @@ def _check_bc_for_symbol(bc: BcSpec) -> None:
 
 
 def _as_batch(mode: ModeParams | ModeBatch) -> ModeBatch:
-    return mode if isinstance(mode, ModeBatch) else ModeBatch.from_modes([mode])
+    return mode if isinstance(mode, ModeBatch) else mode.batch
 
 
 def _unbatch(mode: ModeParams | ModeBatch, result):

@@ -15,6 +15,7 @@ from stokesbc import (
     boundary_power,
     check_compatibility,
     classify_bc,
+    convective_flux,
     derive_mode,
     dissipation,
     energy_balance_residual,
@@ -150,6 +151,19 @@ def _field(grid, u_x, u_y, constants=CONSTANTS):
     xx, yy = np.meshgrid(x, y, indexing="ij")
     u = np.stack((u_x(xx, yy), u_y(xx, yy)))
     return SampledField(grid, constants, u, np.zeros(xx.shape))
+
+
+@pytest.mark.parametrize("face, nu_y", [("wall", -1.0), ("top", 1.0)])
+def test_convective_flux_closed_form(face, nu_y):
+    # u = (0, a + b cos x) on both faces of a 2 pi strip, so
+    # int rho/2 |u|^2 (u . nu) dx = nu_y (pi rho / 2)(2 a^3 + 3 a b^2); the
+    # rectangle rule on 8 nodes is exact for this cubic trigonometric polynomial
+    a, b = 0.6, -1.3
+    constants = FluidConstants(2.5, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, 8, 10.0, 9)
+    field = _field(grid, lambda x, y: np.zeros_like(x), lambda x, y: a + b * np.cos(x), constants)
+    expected = nu_y * 0.5 * np.pi * constants.rho * (2.0 * a**3 + 3.0 * a * b**2)
+    assert convective_flux(field, face) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("nx", [9, 8])

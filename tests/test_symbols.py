@@ -66,6 +66,15 @@ def test_bad_lambda_rejected(lam):
         derive_mode(FluidConstants(1.0, 1.0, 1.0), lam, (1.0,))
 
 
+def test_mode_without_tangential_component_rejected():
+    with pytest.raises(InvalidModeError, match="n >= 2"):
+        derive_mode(FluidConstants(1, 1, 1), 0.0, ())
+    ones = np.ones(3)
+    batch = ModeBatch(ones, ones, ones, ones.astype(complex), np.empty((3, 0)))
+    with pytest.raises(InvalidModeError, match="n >= 2"):
+        batch.check_admissible()
+
+
 def test_bc_spec_validated():
     with pytest.raises(UnsupportedCaseError):
         BcSpec(2, 0)
@@ -248,6 +257,12 @@ def test_batch_is_the_stacked_single_mode_results(n_tangential):
     rng = np.random.default_rng(11)
     modes = [draw_mode(rng, n_tangential) for _ in range(40)]
     batch = ModeBatch.from_modes(modes)
+    # a mode's symbols are its batch-of-one entries, so they match the
+    # stacked batch to the last bit
+    for i, mode in enumerate(modes):
+        for name in ("omega", "rate_fast", "lambda_eps", "kappa", "rho_lam", "abs_zeta"):
+            assert getattr(mode, name) == getattr(batch, name)[i], name
+        assert np.array_equal(mode.zeta, batch.zeta[i])
     for bc in SYMBOL_BCS:
         for fn in (boundary_symbol, closed_form_inverse, generic_inverse):
             stacked = np.array([fn(mode, bc) for mode in modes])
@@ -290,7 +305,7 @@ def test_mode_batch_admissibility_check(slot, value, named):
     rng = np.random.default_rng(3)
     good = ModeBatch.from_modes([draw_mode(rng) for _ in range(5)])
     assert good.check_admissible() is good
-    names = ("rho", "mu", "epsilon", "lam", "xi", "omega")
+    names = ("rho", "mu", "epsilon", "lam", "xi")
     fields = {name: getattr(good, name).copy() for name in names}
     fields[slot][3] = value
     with pytest.raises(InvalidModeError, match=named) as err:
