@@ -595,26 +595,25 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
         for ri, relation in enumerate(relations)
         for alpha in _RELATION_ALPHAS[relation]
     ]
+    header = [
+        "relation",
+        "alpha",
+        "chunk",
+        "index",
+        "abs_xi",
+        "lambda_im",
+        "epsilon",
+        "rho",
+        "mu",
+        "rel_error",
+    ]
     rows = []
     sections = []
     for (relation, alpha, _, _), (labels, rep) in zip(
         tasks, _map_ordered(_traces_section, tasks, jobs)
     ):
         for (chunk, idx), entry in zip(labels, rep.entries):
-            rows.append(
-                (
-                    relation,
-                    alpha,
-                    chunk,
-                    idx,
-                    entry["abs_xi"],
-                    entry["lambda_im"],
-                    entry["epsilon"],
-                    entry["rho"],
-                    entry["mu"],
-                    entry["rel_error"],
-                )
-            )
+            rows.append((relation, alpha, chunk, idx, *(entry[k] for k in header[4:])))
         sections.append(
             {
                 "relation": relation,
@@ -636,19 +635,6 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
             }
         )
     all_passed = all(s["passed"] for s in sections)
-
-    header = [
-        "relation",
-        "alpha",
-        "chunk",
-        "index",
-        "abs_xi",
-        "lambda_im",
-        "epsilon",
-        "rho",
-        "mu",
-        "rel_error",
-    ]
     _write_csv(os.path.join(out_dir, "verify_traces.csv"), header, rows)
     report = {
         "command": "verify-traces",
@@ -673,16 +659,27 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
 
 
 def _parse_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        re = obj.get("re", 0.0)
-        im = obj.get("im", 0.0)
-        if all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)
-        ):
-            return complex(re, im)
-    raise ConfigError(f"{where!r} must be a number or {{'re': .., 'im': ..}}")
+        parts = (obj.get("re", 0.0), obj.get("im", 0.0))
+    else:
+        parts = (obj, 0.0)
+    if all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in parts
+    ):
+        return complex(*parts)
+    raise ConfigError(f"{where!r} must be a finite number or {{'re': .., 'im': ..}}")
+
+
+def _bc_from_config(entry, where: str) -> BcSpec:
+    """BcSpec of {'alpha': a, 'beta': b} with a, b integers in -1, 0, +1."""
+    if not isinstance(entry, dict) or set(entry) != {"alpha", "beta"}:
+        raise ConfigError(f"{where!r} must be {{'alpha': a, 'beta': b}}")
+    for key in ("alpha", "beta"):
+        val = entry[key]
+        if isinstance(val, bool) or not isinstance(val, int) or val not in (-1, 0, 1):
+            raise ConfigError(f"'{where}.{key}' must be one of -1, 0, +1, got {val!r}")
+    return BcSpec(entry["alpha"], entry["beta"])
 
 
 def _grid_from_config(cfg: dict) -> GridSpec:
@@ -722,10 +719,7 @@ def _constants_from_config(cfg: dict, *, epsilon_key: bool = True) -> FluidConst
 def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
     constants = _constants_from_config(cfg)
     lam = _parse_complex(cfg["lambda"], "lambda")
-    bc_cfg = cfg["bc"]
-    if bc_cfg["alpha"] not in (-1, 0, 1) or bc_cfg["beta"] not in (-1, 0, 1):
-        raise ConfigError("bc.alpha and bc.beta must each be one of -1, 0, +1")
-    bc = BcSpec(int(bc_cfg["alpha"]), int(bc_cfg["beta"]))
+    bc = _bc_from_config(cfg["bc"], "bc")
     grid = _grid_from_config(cfg)
     n_samples = _require_int(cfg, "residual_samples", minimum=2)
     if cfg["residual_tol"] is not None:
@@ -810,18 +804,7 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
         bcs = [{"alpha": a, "beta": b} for a, b in ALL_BCS]
     if not isinstance(bcs, list) or not bcs:
         raise ConfigError("'bcs' must be a non-empty list (or null for all nine)")
-    specs = []
-    for i, entry in enumerate(bcs):
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"alpha", "beta"}
-            or entry["alpha"] not in (-1, 0, 1)
-            or entry["beta"] not in (-1, 0, 1)
-        ):
-            raise ConfigError(
-                f"bcs[{i}] must be {{'alpha': a, 'beta': b}} with a, b in -1, 0, +1"
-            )
-        specs.append(BcSpec(int(entry["alpha"]), int(entry["beta"])))
+    specs = [_bc_from_config(entry, f"bcs[{i}]") for i, entry in enumerate(bcs)]
 
     def _one(bc: BcSpec):
         return classify_bc(
@@ -833,41 +816,24 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
             x_length=float(cfg["x_length"]),
         )
 
-    reports = _map_ordered(_one, specs, jobs)
-    rows = []
-    section = []
-    for rep in reports:
-        rows.append(
-            (
-                rep.bc.alpha,
-                rep.bc.beta,
-                rep.predicted_class,
-                rep.empirical_class,
-                rep.adapted_form,
-                rep.max_abs_linear_power,
-                rep.max_abs_full_power,
-                rep.zero_tol,
-                rep.witness_floor,
-                rep.passed,
-            )
-        )
-        section.append(
-            {
-                "alpha": rep.bc.alpha,
-                "beta": rep.bc.beta,
-                "predicted_class": rep.predicted_class,
-                "empirical_class": rep.empirical_class,
-                "adapted_form": rep.adapted_form,
-                "n_trials": rep.n_trials,
-                "max_abs_linear_power": rep.max_abs_linear_power,
-                "max_abs_full_power": rep.max_abs_full_power,
-                "zero_tol": rep.zero_tol,
-                "witness_floor": rep.witness_floor,
-                "witness_found": rep.empirical_class == "B3",
-                "passed": rep.passed,
-            }
-        )
-    all_passed = all(rep.passed for rep in reports)
+    section = [
+        {
+            "alpha": rep.bc.alpha,
+            "beta": rep.bc.beta,
+            "predicted_class": rep.predicted_class,
+            "empirical_class": rep.empirical_class,
+            "adapted_form": rep.adapted_form,
+            "n_trials": rep.n_trials,
+            "max_abs_linear_power": rep.max_abs_linear_power,
+            "max_abs_full_power": rep.max_abs_full_power,
+            "zero_tol": rep.zero_tol,
+            "witness_floor": rep.witness_floor,
+            "witness_found": rep.empirical_class == "B3",
+            "passed": rep.passed,
+        }
+        for rep in _map_ordered(_one, specs, jobs)
+    ]
+    all_passed = all(s["passed"] for s in section)
 
     header = [
         "alpha",
@@ -881,6 +847,7 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
         "witness_floor",
         "passed",
     ]
+    rows = [tuple(s[k] for k in header) for s in section]
     _write_csv(os.path.join(out_dir, "energy_audit.csv"), header, rows)
     report = {
         "command": "energy-audit",

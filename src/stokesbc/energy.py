@@ -34,7 +34,8 @@ boundary power, B2 kills the linear one, B3 ((+1,-1) and (-1,+1)) kills
 neither.  The vanishing happens pointwise in the adapted stress form: T
 when alpha = -1 or beta = -1, else S.  classify_bc measures these powers on
 random fields drawn from the constraint surface and compares with the
-prediction.
+prediction.  It and the audits share one face density of each boundary term
+(_stress_power, _kinetic_flux: contracted with e_y, times the face's nu_y).
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .halfspace import SampledField
 from .symbols import BcSpec
 
 __all__ = [
-    "TensorField",
-    "tensors",
     "kinetic_energy",
     "dissipation",
     "boundary_power",
@@ -101,39 +100,6 @@ def _velocity_gradient(field: SampledField) -> np.ndarray:
     return np.fft.irfft(np.stack((ddx, ddy)), n=nx, axis=2)
 
 
-@dataclass(frozen=True)
-class TensorField:
-    """Velocity gradient and the derived tensors of a sampled field.
-
-    grad[i, j] = d_i u_j; sym/antisym are D and R; stress_sym/stress_antisym
-    are S = 2 mu D - p I and T = 2 mu R - p I.  All arrays have trailing
-    shape (nx, ny).
-    """
-
-    field: SampledField
-    grad: np.ndarray
-    sym: np.ndarray
-    antisym: np.ndarray
-    stress_sym: np.ndarray
-    stress_antisym: np.ndarray
-
-
-def tensors(field: SampledField) -> TensorField:
-    mu = field.constants.mu
-    grad = _velocity_gradient(field)
-    sym = 0.5 * (grad + grad.transpose(1, 0, 2, 3))
-    antisym = 0.5 * (grad - grad.transpose(1, 0, 2, 3))
-    eye_p = np.einsum("ij,xy->ijxy", np.eye(2), field.pressure)
-    return TensorField(
-        field=field,
-        grad=grad,
-        sym=sym,
-        antisym=antisym,
-        stress_sym=2.0 * mu * sym - eye_p,
-        stress_antisym=2.0 * mu * antisym - eye_p,
-    )
-
-
 def kinetic_energy(field: SampledField) -> float:
     """E = int rho |u|^2 / 2 over the strip, with the grid's quadrature."""
     grid = field.grid
@@ -141,10 +107,12 @@ def kinetic_energy(field: SampledField) -> float:
     return float(grid.x_weight * np.sum(dens @ grid.y_weights))
 
 
-def dissipation(field: SampledField, form: str = "S", tensor: TensorField | None = None) -> float:
-    """2 mu int |D|^2 (form 'S') or 2 mu int |R|^2 (form 'T')."""
-    t = tensor if tensor is not None else tensors(field)
-    rate = t.sym if _check_form(form) == "S" else t.antisym
+def dissipation(field: SampledField, form: str = "S", grad: np.ndarray | None = None) -> float:
+    """2 mu int |D|^2 (form 'S') or 2 mu int |R|^2 (form 'T'); grad reuses
+    the field's _velocity_gradient."""
+    g = grad if grad is not None else _velocity_gradient(field)
+    sign = 1.0 if _check_form(form) == "S" else -1.0
+    rate = 0.5 * (g + sign * g.transpose(1, 0, 2, 3))
     grid = field.grid
     dens = np.sum(rate**2, axis=(0, 1))
     return float(2.0 * field.constants.mu * grid.x_weight * np.sum(dens @ grid.y_weights))
@@ -154,6 +122,19 @@ def _check_form(form: str) -> str:
     if form not in ("S", "T"):
         raise ValueError(f"form must be 'S' or 'T', got {form!r}")
     return form
+
+
+def _stress_power(form: str, mu, v, w, dv, dxw, dw, p):
+    """u . (e_y^T X), X = S or T, from the face traces of v, w, d_y v, d_x w,
+    d_y w and p; the outward power is nu_y times this."""
+    if form == "S":
+        return mu * v * (dv + dxw) + w * (2.0 * mu * dw - p)
+    return mu * v * (dv - dxw) - w * p
+
+
+def _kinetic_flux(rho, v, w):
+    """rho/2 |u|^2 (u . e_y); the outward flux is nu_y times this."""
+    return 0.5 * rho * (v**2 + w**2) * w
 
 
 def _face(field: SampledField, face: str) -> tuple[int, float]:
@@ -169,27 +150,26 @@ def boundary_power(
     field: SampledField,
     form: str = "S",
     face: str = "wall",
-    tensor: TensorField | None = None,
+    grad: np.ndarray | None = None,
 ) -> float:
-    """int u . (nu^T X) dx over the chosen horizontal face, X = S or T."""
-    t = tensor if tensor is not None else tensors(field)
-    stress = t.stress_sym if _check_form(form) == "S" else t.stress_antisym
+    """int u . (nu^T X) dx over the chosen horizontal face, X = S or T; grad
+    reuses the field's _velocity_gradient."""
+    g = grad if grad is not None else _velocity_gradient(field)
     j, nu_y = _face(field, face)
-    # (nu^T X)_c = nu_y * X[y, c]
-    integrand = sum(
-        field.velocity[c, :, j] * nu_y * stress[1, c, :, j] for c in range(2)
+    v, w = field.velocity[:, :, j]
+    dv, dxw, dw = g[1, 0, :, j], g[0, 1, :, j], g[1, 1, :, j]
+    density = _stress_power(
+        _check_form(form), field.constants.mu, v, w, dv, dxw, dw, field.pressure[:, j]
     )
-    return float(field.grid.x_weight * np.sum(integrand))
+    return float(field.grid.x_weight * np.sum(nu_y * density))
 
 
 def convective_flux(field: SampledField, face: str = "wall") -> float:
     """int rho/2 |u|^2 (u . nu) dx over the chosen horizontal face."""
     j, nu_y = _face(field, face)
-    speed_sq = np.sum(field.velocity[:, :, j] ** 2, axis=0)
-    wx = field.grid.x_weight
-    return float(
-        0.5 * field.constants.rho * wx * np.sum(speed_sq * nu_y * field.velocity[1, :, j])
-    )
+    v, w = field.velocity[:, :, j]
+    density = _kinetic_flux(field.constants.rho, v, w)
+    return float(field.grid.x_weight * np.sum(nu_y * density))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +229,12 @@ def energy_balance_residual(
 
     energies, diss, bpow, conv, top = [], [], [], [], []
     for f in series:
-        t = tensors(f)
+        g = _velocity_gradient(f)
         energies.append(kinetic_energy(f))
-        diss.append(dissipation(f, form, t))
-        bpow.append(boundary_power(f, form, "wall", t))
+        diss.append(dissipation(f, form, g))
+        bpow.append(boundary_power(f, form, "wall", g))
         c = convective_flux(f, "wall") if convective else 0.0
-        top_power = boundary_power(f, form, "top", t)
+        top_power = boundary_power(f, form, "top", g)
         if convective:
             top_power -= convective_flux(f, "top")
         conv.append(c)
@@ -292,6 +272,10 @@ def energy_balance_residual(
 # ---------------------------------------------------------------------------
 
 
+# trials evaluated per array pass: about 25 kB of temporaries per trial
+_TRIAL_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     bc: BcSpec
@@ -307,13 +291,6 @@ class ClassificationReport:
     @property
     def passed(self) -> bool:
         return self.empirical_class == self.predicted_class
-
-
-def _wall_field(x: np.ndarray, harmonics: dict[float, complex]) -> np.ndarray:
-    out = np.zeros_like(x)
-    for xi, amp in harmonics.items():
-        out += 2.0 * np.real(amp * np.exp(1j * xi * x))
-    return out
 
 
 def classify_bc(
@@ -333,7 +310,9 @@ def classify_bc(
     power exactly (the integrands are trigonometric polynomials, integrated
     on a grid beyond their Nyquist limit).  Two harmonics are essential:
     the cubic flux of a single harmonic integrates to zero regardless of bc,
-    which would make B2 indistinguishable from B1.
+    which would make B2 indistinguishable from B1.  The powers are the face
+    densities of boundary_power and convective_flux times the wall's nu_y =
+    -1, evaluated on all trials as one array (in blocks of _TRIAL_BLOCK).
 
     The empirical class is B1 if both powers stay below zero_tol over all
     trials, B2 if only the linear power does, and B3 if the linear power
@@ -344,59 +323,43 @@ def classify_bc(
     nx = 64
     x = np.linspace(0.0, x_length, nx, endpoint=False)
     wx = x_length / nx
+    xi = 2.0 * math.pi * np.arange(1, 3) / x_length
 
     scale = x_length * max(1.0, rho, mu)
     zero_tol = 1.0e-10 * scale
     witness_floor = 1.0e-3
 
-    max_lin = 0.0
-    max_full = 0.0
-    for _ in range(n_trials):
-        traces: dict[str, dict[float, complex]] = {
-            name: {} for name in ("v", "w", "dv", "dw", "p")
-        }
-        for k in (1, 2):
-            xi = 2.0 * math.pi * k / x_length
-            raw = rng.standard_normal(10)
-            v0, w0, dv0, dw0, p0 = (
-                raw[0] + 1j * raw[1],
-                raw[2] + 1j * raw[3],
-                raw[4] + 1j * raw[5],
-                raw[6] + 1j * raw[7],
-                raw[8] + 1j * raw[9],
-            )
-            # project onto the homogeneous constraint surface
-            if bc.beta == 0:
-                w0 = 0.0
-            elif bc.beta == 1:
-                p0 = 2.0 * mu * dw0
-            else:
-                p0 = 0.0
-            if bc.alpha == 0:
-                v0 = 0.0
-            else:
-                dv0 = -bc.alpha * 1j * xi * w0
-            mag = max(abs(v0), abs(w0), abs(dv0), abs(dw0), abs(p0))
-            if mag == 0.0:
-                continue
-            for name, amp in zip(("v", "w", "dv", "dw", "p"), (v0, w0, dv0, dw0, p0)):
-                traces[name][xi] = amp / mag
+    # amps[trial, harmonic] = (v, w, d_y v, d_y w, p), each from two normals
+    raw = rng.standard_normal((n_trials, 2, 10))
+    amps = raw[..., 0::2] + 1j * raw[..., 1::2]
+    # project onto the homogeneous constraint surface: beta's row, then alpha's
+    if bc.beta == 0:
+        amps[..., 1] = 0.0
+    elif bc.beta == 1:
+        amps[..., 4] = 2.0 * mu * amps[..., 3]
+    else:
+        amps[..., 4] = 0.0
+    if bc.alpha == 0:
+        amps[..., 0] = 0.0
+    else:
+        amps[..., 2] = -bc.alpha * 1j * xi * amps[..., 1]
+    # |d_y w| > 0 keeps every magnitude positive; hypot and complex division
+    # by the real magnitude round as the scalar abs() and amp / mag do
+    mag = np.max(np.hypot(amps.real, amps.imag), axis=-1)
+    amps = amps / mag[..., None]
+    amps = np.concatenate((amps, 1j * xi[:, None] * amps[..., 1:2]), axis=-1)  # d_x w
+    phase = np.exp(1j * xi[:, None] * x)
 
-        v = _wall_field(x, traces["v"])
-        w = _wall_field(x, traces["w"])
-        dv = _wall_field(x, traces["dv"])
-        dw = _wall_field(x, traces["dw"])
-        p = _wall_field(x, traces["p"])
-        dxw = _wall_field(x, {xi: 1j * xi * amp for xi, amp in traces["w"].items()})
-
-        if form == "S":
-            integrand = -mu * v * (dv + dxw) + w * (p - 2.0 * mu * dw)
-        else:
-            integrand = -mu * v * (dv - dxw) + w * p
-        pi_lin = wx * float(np.sum(integrand))
-        conv = wx * float(np.sum(0.5 * rho * (v**2 + w**2) * (-w)))
-        max_lin = max(max_lin, abs(pi_lin))
-        max_full = max(max_full, abs(pi_lin - conv))
+    lin, conv = np.empty((2, n_trials))
+    for lo in range(0, n_trials, _TRIAL_BLOCK):
+        block = slice(lo, lo + _TRIAL_BLOCK)
+        # harmonic k contributes 2 Re(amp_k e^{i xi_k x}); k = 1 first, then 2
+        wall = np.sum(2.0 * np.real(amps[block, :, :, None] * phase[:, None, :]), axis=1)
+        v, w, dv, dw, p, dxw = wall.transpose(1, 0, 2)
+        lin[block] = wx * np.sum(-_stress_power(form, mu, v, w, dv, dxw, dw, p), axis=-1)
+        conv[block] = wx * np.sum(-_kinetic_flux(rho, v, w), axis=-1)
+    max_lin = float(np.max(np.abs(lin), initial=0.0))
+    max_full = float(np.max(np.abs(lin - conv), initial=0.0))
 
     if max_lin <= zero_tol and max_full <= zero_tol:
         empirical = "B1"

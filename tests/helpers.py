@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import heapq
+import math
 from pathlib import Path
 
 import numpy as np
 
 from stokesbc import FluidConstants, derive_mode
+from stokesbc.energy import ClassificationReport
 from stokesbc.cli import _csv_cell
 from stokesbc.halfspace import ModeSolution
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 from stokesbc.quadrature import gauss_kronrod_15
-from stokesbc.symbols import ALL_BCS, SYMBOL_BCS  # noqa: F401  (re-exported to the tests)
+from stokesbc.symbols import ALL_BCS, SYMBOL_BCS, BcSpec  # noqa: F401  (re-exported to the tests)
 
 STANDARD = FluidConstants(1.0, 1.0, 1.0)
 
@@ -142,3 +144,103 @@ def reference_write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
+def _reference_wall_field(x: np.ndarray, harmonics: dict[float, complex]) -> np.ndarray:
+    out = np.zeros_like(x)
+    for xi, amp in harmonics.items():
+        out += 2.0 * np.real(amp * np.exp(1j * xi * x))
+    return out
+
+
+def reference_classify_bc(
+    bc: BcSpec,
+    rho: float = 1.0,
+    mu: float = 1.0,
+    n_trials: int = 100,
+    seed: int = 0,
+    x_length: float = 2.0 * math.pi,
+) -> ClassificationReport:
+    """The per-trial, per-harmonic loop energy.classify_bc replaced: each
+    trial's two harmonics drawn, projected and normalized one at a time, the
+    wall traces summed from dicts, and the S/T integrands and cubic flux
+    written out by hand."""
+    rng = np.random.default_rng(seed)
+    form = bc.adapted_form
+    nx = 64
+    x = np.linspace(0.0, x_length, nx, endpoint=False)
+    wx = x_length / nx
+
+    scale = x_length * max(1.0, rho, mu)
+    zero_tol = 1.0e-10 * scale
+    witness_floor = 1.0e-3
+
+    max_lin = 0.0
+    max_full = 0.0
+    for _ in range(n_trials):
+        traces: dict[str, dict[float, complex]] = {
+            name: {} for name in ("v", "w", "dv", "dw", "p")
+        }
+        for k in (1, 2):
+            xi = 2.0 * math.pi * k / x_length
+            raw = rng.standard_normal(10)
+            v0, w0, dv0, dw0, p0 = (
+                raw[0] + 1j * raw[1],
+                raw[2] + 1j * raw[3],
+                raw[4] + 1j * raw[5],
+                raw[6] + 1j * raw[7],
+                raw[8] + 1j * raw[9],
+            )
+            # project onto the homogeneous constraint surface
+            if bc.beta == 0:
+                w0 = 0.0
+            elif bc.beta == 1:
+                p0 = 2.0 * mu * dw0
+            else:
+                p0 = 0.0
+            if bc.alpha == 0:
+                v0 = 0.0
+            else:
+                dv0 = -bc.alpha * 1j * xi * w0
+            mag = max(abs(v0), abs(w0), abs(dv0), abs(dw0), abs(p0))
+            if mag == 0.0:
+                continue
+            for name, amp in zip(("v", "w", "dv", "dw", "p"), (v0, w0, dv0, dw0, p0)):
+                traces[name][xi] = amp / mag
+
+        v = _reference_wall_field(x, traces["v"])
+        w = _reference_wall_field(x, traces["w"])
+        dv = _reference_wall_field(x, traces["dv"])
+        dw = _reference_wall_field(x, traces["dw"])
+        p = _reference_wall_field(x, traces["p"])
+        dxw = _reference_wall_field(x, {xi: 1j * xi * amp for xi, amp in traces["w"].items()})
+
+        if form == "S":
+            integrand = -mu * v * (dv + dxw) + w * (p - 2.0 * mu * dw)
+        else:
+            integrand = -mu * v * (dv - dxw) + w * p
+        pi_lin = wx * float(np.sum(integrand))
+        conv = wx * float(np.sum(0.5 * rho * (v**2 + w**2) * (-w)))
+        max_lin = max(max_lin, abs(pi_lin))
+        max_full = max(max_full, abs(pi_lin - conv))
+
+    if max_lin <= zero_tol and max_full <= zero_tol:
+        empirical = "B1"
+    elif max_lin <= zero_tol:
+        empirical = "B2"
+    elif max_lin >= witness_floor:
+        empirical = "B3"
+    else:
+        empirical = "indeterminate"
+
+    return ClassificationReport(
+        bc=bc,
+        predicted_class=bc.preservation_class,
+        empirical_class=empirical,
+        adapted_form=form,
+        n_trials=n_trials,
+        max_abs_linear_power=max_lin,
+        max_abs_full_power=max_full,
+        zero_tol=zero_tol,
+        witness_floor=witness_floor,
+    )

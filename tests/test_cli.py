@@ -124,6 +124,10 @@ def test_negative_tolerance_rejected(runner, tmp_path):
         ("verify-symbols", {"abs_xi_range": [float("nan"), 1.0]}, "abs_xi_range"),
         ("verify-traces", {"lambda_im_range": [0, float("inf")]}, "lambda_im_range"),
         ("verify-traces", {"epsilon_choices": [float("inf")]}, "epsilon_choices"),
+        ("solve", {"bc": {"alpha": True, "beta": 0}}, "bc.alpha"),
+        ("energy-audit", {"bcs": [{"alpha": 1.0, "beta": False}]}, "bcs[0]"),
+        ("solve", {"modes": [{"k": 1, "h_w": {"re": float("nan")}}]}, "modes[0].h_w"),
+        ("solve", {"lambda": {"re": float("nan")}}, "lambda"),
     ],
 )
 def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, named):

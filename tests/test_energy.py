@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from helpers import ALL_BCS
+from helpers import ALL_BCS, reference_classify_bc
 from stokesbc import (
     AuditError,
     BcSpec,
@@ -24,7 +24,7 @@ from stokesbc import (
     stream_function_field,
     synthesize_field,
 )
-from stokesbc.energy import _apply, tensors
+from stokesbc.energy import _apply, _velocity_gradient
 from stokesbc.halfspace import ModeSolution
 
 CONSTANTS = FluidConstants(1.0, 1.0, 1.0)
@@ -89,6 +89,25 @@ def test_classification_matches_static_table(bc):
         assert report.max_abs_linear_power < report.zero_tol
     else:
         assert report.max_abs_linear_power > report.witness_floor
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": 0},
+        {"seed": 7},
+        {"rho": 3.7, "mu": 0.2, "x_length": 3.3},
+        {"n_trials": 1},
+    ],
+    ids=["seed0", "seed7", "rho-mu-length", "one-trial"],
+)
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: f"a{bc.alpha}b{bc.beta}")
+def test_classification_is_the_trial_loop(bc, kwargs):
+    # the array pass reproduces the per-trial loop to the last bit
+    batch, loop = classify_bc(bc, **kwargs), reference_classify_bc(bc, **kwargs)
+    assert batch.max_abs_linear_power == loop.max_abs_linear_power
+    assert batch.max_abs_full_power == loop.max_abs_full_power
+    assert batch.empirical_class == loop.empirical_class
 
 
 def test_balance_needs_three_snapshots():
@@ -166,6 +185,23 @@ def test_convective_flux_closed_form(face, nu_y):
     assert convective_flux(field, face) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+def test_boundary_power_closed_form():
+    # u = (cos x (1 + y), sin x (2 - y)), p = cos x on a Chebyshev strip of
+    # height 3 (u is linear in y, so the y-derivatives are exact):
+    #   wall, nu_y = -1: -int [mu v (d_y v +- d_x w) + w (2 mu d_y w - p or -p)]
+    #     = mu pi in both forms;
+    #   top, nu_y = +1: 2 mu pi (S) and 8 mu pi (T)
+    mu = 1.3
+    grid = GridSpec(2.0 * np.pi, 8, 3.0, 9, y_kind="cheb")
+    x, y = np.meshgrid(grid.x_nodes(), grid.y_nodes(), indexing="ij")
+    u = np.stack((np.cos(x) * (1.0 + y), np.sin(x) * (2.0 - y)))
+    field = SampledField(grid, FluidConstants(1.0, mu, 1.0), u, np.cos(x))
+    expected = {("wall", "S"): 1.0, ("wall", "T"): 1.0, ("top", "S"): 2.0, ("top", "T"): 8.0}
+    for (face, form), factor in expected.items():
+        power = boundary_power(field, form=form, face=face)
+        assert power == pytest.approx(factor * mu * np.pi, rel=1e-14, abs=0.0), (face, form)
+
+
 @pytest.mark.parametrize("nx", [9, 8])
 def test_velocity_gradient_x_part_is_exact(nx):
     # a sin(kx) e^{-cy} and b cos(2kx) y e^{-cy} lie below the Nyquist limit
@@ -186,7 +222,7 @@ def test_velocity_gradient_x_part_is_exact(nx):
             -2 * k * b * np.sin(2 * k * x) * y * np.exp(-c * y),
         )
     )
-    grad = tensors(field).grad
+    grad = _velocity_gradient(field)
     assert np.max(np.abs(grad[0] - exact)) <= 1e-12 * np.max(np.abs(field.velocity))
 
 
@@ -202,7 +238,7 @@ def test_velocity_gradient_drops_the_nyquist_mode():
         lambda x, y: b * np.cos(2 * k * x) * y * np.exp(-c * y),
     )
     x, y = np.meshgrid(field.x, field.y, indexing="ij")
-    grad = tensors(field).grad
+    grad = _velocity_gradient(field)
     scale = np.max(np.abs(field.velocity))
     assert np.max(np.abs(grad[0, 0])) <= 1e-12 * scale
     exact = -2 * k * b * np.sin(2 * k * x) * y * np.exp(-c * y)
@@ -226,7 +262,7 @@ def test_velocity_gradient_y_part_is_the_plain_product(nx, grid_kind):
     rng = np.random.default_rng(nx)
     u = 2.0 + rng.standard_normal((2, nx, 33))
     field = SampledField(grid, CONSTANTS, u, np.zeros((nx, 33)))
-    grad = tensors(field).grad
+    grad = _velocity_gradient(field)
     assert np.max(np.abs(grad[1] - u @ grid.y_derivative.T)) <= 1e-13 * np.max(np.abs(u))
 
 
