@@ -158,7 +158,8 @@ _DEFAULTS: dict[str, dict] = {
 
 
 def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
-    """Recursive merge of override into defaults, rejecting unknown keys."""
+    """Recursive merge of override into defaults, rejecting unknown keys; a
+    complex default {"re": .., "im": ..} also takes a plain number."""
     merged = {}
     for key, base in defaults.items():
         merged[key] = base
@@ -167,13 +168,22 @@ def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where!r}")
         base = defaults[key]
-        if isinstance(base, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where!r} must be an object")
+        if isinstance(base, dict) and isinstance(value, dict):
             merged[key] = _merge_config(base, value, where)
+        elif isinstance(base, dict) and set(base) != {"re", "im"}:
+            raise ConfigError(f"{where!r} must be an object")
         else:
             merged[key] = value
     return merged
+
+
+def _finite(val) -> bool:
+    """Whether the int or float val is a finite float; an int too large for
+    a float is not."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _require_number(cfg: dict, key: str, *, positive: bool = False, path: str = ""):
@@ -181,7 +191,7 @@ def _require_number(cfg: dict, key: str, *, positive: bool = False, path: str = 
     val = cfg[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where!r} must be a number, got {val!r}")
-    if not math.isfinite(val):
+    if not _finite(val):
         raise ConfigError(f"{where!r} must be finite, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{where!r} must be > 0, got {val!r}")
@@ -206,9 +216,9 @@ def _require_range(cfg: dict, key: str, *, positive: bool = False) -> tuple[floa
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
     ):
         raise ConfigError(f"{key!r} must be a [low, high] pair of numbers")
-    lo, hi = float(val[0]), float(val[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not all(_finite(v) for v in val):
         raise ConfigError(f"{key!r} must be finite, got {val!r}")
+    lo, hi = float(val[0]), float(val[1])
     if lo > hi:
         raise ConfigError(f"{key!r} must be ascending, got {val!r}")
     if positive and lo <= 0:
@@ -265,20 +275,6 @@ def _chunk_counts(total: int) -> list[int]:
     return [base + (1 if c < rem else 0) for c in range(N_CHUNKS)]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -305,7 +301,7 @@ def _write_csv(path, header: list[str], rows: list[tuple]) -> None:
 def _write_report(out_dir: str, name: str, report: dict) -> str:
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(canonical_json(_jsonable(report)))
+        fh.write(canonical_json(report))
     return path
 
 
@@ -444,7 +440,7 @@ def _validate_sweep_config(cfg: dict) -> None:
         or any(
             isinstance(e, bool)
             or not isinstance(e, (int, float))
-            or not math.isfinite(e)
+            or not _finite(e)
             or e <= 0
             for e in eps
         )
@@ -664,7 +660,7 @@ def _parse_complex(obj, where: str) -> complex:
     else:
         parts = (obj, 0.0)
     if all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
         for v in parts
     ):
         return complex(*parts)
@@ -767,7 +763,7 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         )
 
     write_field_csv(os.path.join(out_dir, "field.csv"), field)
-    manifest = field_manifest(field, "field.csv", config=_jsonable(cfg))
+    manifest = field_manifest(field, "field.csv", config=cfg)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
     header = ["k", "momentum", "divergence", "datum_normal", "datum_tangential"]
@@ -932,7 +928,7 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
     write_field_csv(os.path.join(out_dir, "final_field.csv"), final_field)
     write_manifest(
         os.path.join(out_dir, "final_manifest.json"),
-        field_manifest(final_field, "final_field.csv", config=_jsonable(cfg)),
+        field_manifest(final_field, "final_field.csv", config=cfg),
     )
 
     completed = result.status == "completed"

@@ -23,11 +23,10 @@ At the wall the traces reduce to
     (nu^T S)_x = -mu (d_y v + d_x w),   (nu^T S)_y = p - 2 mu d_y w,
     (nu^T T)_x = -mu (d_y v - d_x w),   (nu^T T)_y = p,
 
-so each boundary-condition pair (alpha, beta) with homogeneous data pins
-part of the integrand:
-
-    alpha = 0: v = 0        alpha = +1: d_y v = -d_x w   alpha = -1: d_y v = d_x w
-    beta  = 0: w = 0        beta  = +1: p = 2 mu d_y w   beta  = -1: p = 0
+and each boundary-condition pair (alpha, beta) with homogeneous data zeroes
+its two wall rows (BcSpec.tangential_row and BcSpec.normal_row: a velocity
+trace or the matching component of nu^T S or nu^T T), which pins part of
+the integrand.
 
 Classes (see BcSpec): B1 (all beta = 0 pairs) kills the full convective
 boundary power, B2 kills the linear one, B3 ((+1,-1) and (-1,+1)) kills
@@ -293,6 +292,22 @@ class ClassificationReport:
         return self.empirical_class == self.predicted_class
 
 
+def _project_onto_bc(amps: np.ndarray, bc: BcSpec, mu: float, xi: np.ndarray) -> None:
+    """Project wall amplitudes (..., harmonic, (v, w, d_y v, d_y w, p)) in
+    place onto the homogeneous constraint surface of bc (d_x w = i xi w):
+    beta's row first, then alpha's, which reads w after beta's row."""
+    if bc.beta == 0:
+        amps[..., 1] = 0.0
+    elif bc.beta == 1:
+        amps[..., 4] = 2.0 * mu * amps[..., 3]
+    else:
+        amps[..., 4] = 0.0
+    if bc.alpha == 0:
+        amps[..., 0] = 0.0
+    else:
+        amps[..., 2] = -bc.alpha * 1j * xi * amps[..., 1]
+
+
 def classify_bc(
     bc: BcSpec,
     rho: float = 1.0,
@@ -332,17 +347,7 @@ def classify_bc(
     # amps[trial, harmonic] = (v, w, d_y v, d_y w, p), each from two normals
     raw = rng.standard_normal((n_trials, 2, 10))
     amps = raw[..., 0::2] + 1j * raw[..., 1::2]
-    # project onto the homogeneous constraint surface: beta's row, then alpha's
-    if bc.beta == 0:
-        amps[..., 1] = 0.0
-    elif bc.beta == 1:
-        amps[..., 4] = 2.0 * mu * amps[..., 3]
-    else:
-        amps[..., 4] = 0.0
-    if bc.alpha == 0:
-        amps[..., 0] = 0.0
-    else:
-        amps[..., 2] = -bc.alpha * 1j * xi * amps[..., 1]
+    _project_onto_bc(amps, bc, mu, xi)
     # |d_y w| > 0 keeps every magnitude positive; hypot and complex division
     # by the real magnitude round as the scalar abs() and amp / mag do
     mag = np.max(np.hypot(amps.real, amps.imag), axis=-1)
@@ -397,6 +402,16 @@ class CompatibilityEntry:
     passed: bool
 
 
+#: the C3 entry of a pressure-type normal row (beta = +-1)
+_PRESSURE_ROW_ENTRY = CompatibilityEntry(
+    "C3",
+    False,
+    "pressure-type normal row is met by the initial pressure, not a constraint on the velocity",
+    0.0,
+    True,
+)
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     entries: tuple[CompatibilityEntry, ...]
@@ -418,12 +433,13 @@ def check_compatibility(
     exponent makes meaningful.
 
     C1 (always): the initial field is divergence free.
-    C2 (trace condition on the tangential rows): requires p > 3/2 for the
-       velocity trace (alpha = 0, v(0) = h) and p > 3 for the stress trace
-       (alpha = +-1, -mu (d_y v +- d_x w)(0) = h).
-    C3 (normal row): only the velocity-type row beta = 0 constrains the
-       initial velocity (w(0) = h, for p > 3/2); the pressure-type rows are
-       met by the initial pressure and impose nothing on u0.
+    C2 (the tangential row BcSpec.tangential_row = h): requires p > 3/2
+       for the velocity trace (alpha = 0) and p > 3 for the stress trace
+       (alpha = +-1).
+    C3 (the normal row BcSpec.normal_row = h): only the velocity-type row
+       beta = 0 constrains the initial velocity (for p > 3/2); the
+       pressure-type rows are met by the initial pressure and impose
+       nothing on u0.
     """
     mu = field.constants.mu
     u, w_comp = field.velocity[0], field.velocity[1]
@@ -440,55 +456,24 @@ def check_compatibility(
     h_t = np.broadcast_to(np.asarray(h_tangential, dtype=float), field.x.shape)
     h_n = np.broadcast_to(np.asarray(h_normal, dtype=float), field.x.shape)
     vel_scale = max(1.0, float(np.max(np.abs(field.velocity))))
+    tangential = bc.tangential_row(mu, u[:, 0], grad[1, 0, :, 0], grad[0, 1, :, 0])
+    normal = bc.normal_row(mu, w_comp[:, 0], grad[1, 1, :, 0], field.pressure[:, 0])
 
+    # (condition, defect against the datum, trace, residual scale, the
+    # exponent above which the trace exists and its label)
     if bc.alpha == 0:
-        if p_exponent > 1.5:
-            res = float(np.max(np.abs(u[:, 0] - h_t))) / vel_scale
-            entries.append(
-                CompatibilityEntry("C2", True, "velocity trace (p > 3/2)", res, res <= tol)
-            )
-        else:
-            entries.append(
-                CompatibilityEntry(
-                    "C2", False, "tangential velocity trace undefined for p <= 3/2", 0.0, True
-                )
-            )
+        c2 = ("tangential velocity trace", vel_scale, 1.5, "3/2")
     else:
-        if p_exponent > 3.0:
-            row = -mu * (grad[1, 0, :, 0] + bc.alpha * grad[0, 1, :, 0])
-            res = float(np.max(np.abs(row - h_t))) / max(1.0, mu * vel_scale)
-            entries.append(
-                CompatibilityEntry("C2", True, "tangential stress trace (p > 3)", res, res <= tol)
-            )
-        else:
-            entries.append(
-                CompatibilityEntry(
-                    "C2", False, "tangential stress trace undefined for p <= 3", 0.0, True
-                )
-            )
-
+        c2 = ("tangential stress trace", max(1.0, mu * vel_scale), 3.0, "3")
+    rows = [("C2", tangential - h_t, *c2)]
     if bc.beta == 0:
-        if p_exponent > 1.5:
-            res = float(np.max(np.abs(w_comp[:, 0] - h_n))) / vel_scale
-            entries.append(
-                CompatibilityEntry("C3", True, "normal velocity trace (p > 3/2)", res, res <= tol)
-            )
-        else:
-            entries.append(
-                CompatibilityEntry(
-                    "C3", False, "normal velocity trace undefined for p <= 3/2", 0.0, True
-                )
-            )
-    else:
-        entries.append(
-            CompatibilityEntry(
-                "C3",
-                False,
-                "pressure-type normal row is met by the initial pressure, "
-                "not a constraint on the velocity",
-                0.0,
-                True,
-            )
-        )
+        rows.append(("C3", normal - h_n, "normal velocity trace", vel_scale, 1.5, "3/2"))
+    for condition, defect, trace, scale, p_min, p_label in rows:
+        checked = p_exponent > p_min
+        res = float(np.max(np.abs(defect))) / scale if checked else 0.0
+        reason = f"{trace} (p > {p_label})" if checked else f"{trace} undefined for p <= {p_label}"
+        entries.append(CompatibilityEntry(condition, checked, reason, res, res <= tol))
+    if bc.beta != 0:
+        entries.append(_PRESSURE_ROW_ENTRY)
 
     return CompatibilityReport(entries=tuple(entries))

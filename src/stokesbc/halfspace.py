@@ -6,15 +6,9 @@ A mode problem, per tangential frequency xi, is
     i xi . vhat + what'                  = ghat          (divergence)
 
 on y in (0, inf) with decay, omega^2 = rho lambda_eps + mu |xi|^2, plus the
-boundary rows at y = 0 selected by (alpha, beta):
-
-    tangential (datum 0 here):
-        alpha = 0:    vhat(0)
-        alpha = +-1:  -+ mu vhat'(0) - mu i xi what(0)
-    normal (datum h_w, the e_y component of the boundary datum):
-        beta = 0:     what(0)
-        beta = +1:    -2 mu what'(0) + p(0)
-        beta = -1:    p(0)
+two wall rows at y = 0 that (alpha, beta) selects, BcSpec.tangential_row
+(datum 0 here) and BcSpec.normal_row (datum h_w, the e_y component of the
+boundary datum), applied to the traces with d_x = i xi.
 
 solve_mode handles the homogeneous interior (f = 0, g = 0) with boundary
 datum h_w; its solutions are exactly in the span of the two-rate ansatz
@@ -173,24 +167,20 @@ class ModeSolution:
 
     def tangential_row(self) -> np.ndarray:
         """Value of the tangential boundary row of bc (length n-1 vector)."""
-        alpha = self.bc.alpha
-        if alpha == 0:
-            return np.array([c(0.0) for c in self.velocity.tangential])
-        mu = self.mode.constants.mu
-        xi = np.asarray(self.mode.xi, dtype=float)
-        dv0 = np.array([c.derivative()(0.0) for c in self.velocity.tangential])
-        w0 = self.velocity.normal(0.0)
-        return -float(alpha) * mu * dv0 - mu * 1j * xi * w0
+        v = self.velocity.tangential
+        return self.bc.tangential_row(
+            self.mode.constants.mu,
+            np.array([c(0.0) for c in v]),
+            np.array([c.derivative()(0.0) for c in v]),
+            1j * np.asarray(self.mode.xi) * self.velocity.normal(0.0),
+        )
 
     def normal_row(self) -> complex:
         """Value of the normal boundary row of bc (scalar)."""
-        beta = self.bc.beta
-        if beta == 0:
-            return self.velocity.normal(0.0)
-        if beta == 1:
-            mu = self.mode.constants.mu
-            return -2.0 * mu * self.velocity.normal.derivative()(0.0) + self.pressure(0.0)
-        return self.pressure(0.0)
+        w = self.velocity.normal
+        return self.bc.normal_row(
+            self.mode.constants.mu, w(0.0), w.derivative()(0.0), self.pressure(0.0)
+        )
 
     def __add__(self, other: "ModeSolution") -> "ModeSolution":
         if not isinstance(other, ModeSolution):
@@ -305,25 +295,22 @@ def splitting_solve_mode(
     dw_p0 = w_p.derivative()(0.0)
     g0 = complex(g(0.0))
 
-    if bc.alpha == 0:
-        amp_v = -v_p0
-        amp_w = (1j * xi @ (v_p0 + amp_v) + dw_p0 - g0) / m
-    else:
-        sgn = float(bc.alpha)
-        block = np.zeros((n1 + 1, n1 + 1), dtype=complex)
-        block[:n1, :n1] = sgn * mu * m * np.eye(n1)
-        block[:n1, n1] = -mu * 1j * xi
-        block[n1, :n1] = 1j * xi
-        block[n1, n1] = -m
-        rhs_vec = np.concatenate(
-            [
-                sgn * mu * dv_p0 + mu * 1j * xi * w_p0,
-                [g0 - 1j * xi @ v_p0 - dw_p0],
-            ]
-        )
-        sol = np.linalg.solve(block, rhs_vec)
-        amp_v = sol[:n1]
-        amp_w = sol[n1]
+    # the fast exponentials A e^{-m y}, B e^{-m y} have wall traces v = A,
+    # d_y v = -m A, w = B and d_x w = i xi B, so the block's columns are the
+    # wall rows of unit amplitudes; its last row is the divergence trace
+    unit_v = np.eye(n1, n1 + 1)
+    unit_dxw = np.zeros((n1, n1 + 1), dtype=complex)
+    unit_dxw[:, n1] = 1j * xi
+    block = np.empty((n1 + 1, n1 + 1), dtype=complex)
+    block[:n1] = bc.tangential_row(mu, unit_v, -m * unit_v, unit_dxw)
+    block[n1] = np.append(1j * xi, -m)
+    rhs_vec = np.append(
+        -bc.tangential_row(mu, v_p0, dv_p0, 1j * xi * w_p0),
+        g0 - 1j * xi @ v_p0 - dw_p0,
+    )
+    sol = np.linalg.solve(block, rhs_vec)
+    amp_v = sol[:n1]
+    amp_w = sol[n1]
 
     tangential = tuple(
         v_p[j] + ScalarModeProfile.single(mode.xi, amp_v[j], m) for j in range(n1)

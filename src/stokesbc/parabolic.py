@@ -8,11 +8,9 @@ p(y) = P e^{-|xi| y} solve, per mode,
     omega^2 vhat - mu vhat'' = -i xi phat,
     omega^2 what - mu what'' = -phat',
 
-subject to the boundary condition family indexed by alpha:
-
-    alpha = 0:    [vhat] = 0                     (tangential velocity trace)
-    alpha = +-1:  -+ mu [d_y vhat] - mu i xi [what] = 0   (stress trace)
-    all alpha:    i xi.[vhat] + [d_y what] = 0   (divergence trace)
+subject to the homogeneous tangential wall row of alpha (BcSpec.tangential_row:
+the velocity trace for alpha = 0, a stress trace for alpha = +-1) and the
+divergence trace i xi.[vhat] + [d_y what] = 0.
 
 They are represented by reflected heat kernels.  With the free-space kernel
 

@@ -36,20 +36,22 @@ n x n boundary symbol B acting on the coefficient vector (z_v, z_w):
 where h_w is the e_y-component of the boundary datum (h_w = -h.nu).  alpha
 selects the tangential condition (0: velocity trace; +1/-1: symmetric /
 antisymmetric viscous stress), beta the normal one (0: normal velocity;
-+1: normal stress; -1: pressure trace).  beta = -1 prescribes the pressure
-trace directly and needs no symbol solve, so the symbol constructors reject it.
++1: normal stress; -1: pressure trace).  BcSpec.tangential_row and
+BcSpec.normal_row are the one definition of these wall rows.  beta = -1
+prescribes the pressure trace directly and needs no symbol solve, so the
+symbol constructors reject it.
 
-Rows of B against the ansatz:
+Rows of B, the wall rows applied to the ansatz:
 
     alpha = 0 :  [ omega I,  -i zeta ]                      (velocity trace)
-    alpha = +-1: [ +-sqrt(mu) omega^2 I - sqrt(mu)(i zeta)(i zeta)^T,
-                   -sqrt(mu) (1 +- 1) i zeta |zeta| ]       (stress trace)
+    alpha = +-1: [ sqrt(mu) (omega^2 I - alpha (i zeta)(i zeta)^T),
+                   -sqrt(mu) (1 + alpha) i zeta |zeta| ]    (stress trace)
     beta = 0 :   [ i zeta^T,  |zeta| ]                      (normal velocity)
     beta = +1:   [ 2 sqrt(mu) omega i zeta^T,
                    kappa lambda_eps + 2 sqrt(mu) |zeta|^2 ] (normal stress)
 
 Each case factors as B = diag(d_t I, d_n) M with d_t = omega (alpha = 0) or
-+-sqrt(mu) omega^2 (alpha = +-1), d_n = omega (beta = 0) or
+sqrt(mu) omega^2 (alpha = +-1), d_n = omega (beta = 0) or
 2 sqrt(mu) omega^2 (beta = +1); the reduced matrix M has the closed-form
 inverses implemented in closed_form_inverse.
 
@@ -233,6 +235,32 @@ class BcSpec:
     def __iter__(self):
         """Unpacks as (alpha, beta)."""
         return iter((self.alpha, self.beta))
+
+    def tangential_row(self, mu, v, dv, dxw):
+        """The tangential wall row of the pair, from the wall traces of the
+        tangential velocity v, d_y v and d_x w (arrays broadcast).
+
+        alpha = 0 is the velocity trace v; alpha = +-1 is the tangential
+        stress -mu (d_y v + alpha d_x w), the x-component of nu^T S
+        (alpha = +1) or nu^T T (alpha = -1) for the outer normal nu = -e_y.
+        """
+        if self.alpha == 0:
+            return v
+        return -mu * (dv + self.alpha * dxw)
+
+    def normal_row(self, mu, w, dw, p):
+        """The normal wall row of the pair, from the wall traces of the
+        normal velocity w, d_y w and the pressure p (arrays broadcast).
+
+        beta = 0 is the velocity trace w; beta = +1 the normal stress
+        -2 mu d_y w + p, the y-component of nu^T S; beta = -1 the pressure
+        trace p, the y-component of nu^T T.
+        """
+        if self.beta == 0:
+            return w
+        if self.beta == 1:
+            return -2.0 * mu * dw + p
+        return p
 
 
 #: the nine boundary-condition pairs, normal family outermost
@@ -419,7 +447,7 @@ def _row_scalings(p: ModeBatch, bc: BcSpec) -> np.ndarray:
     """(N, n) row scalings d of B = diag(d) M."""
     w = p.omega
     d = np.empty((p.size, p.n), dtype=w.dtype)
-    d[:, :-1] = (w if bc.alpha == 0 else bc.alpha * p.sqmu * w**2)[:, None]
+    d[:, :-1] = (w if bc.alpha == 0 else p.sqmu * w**2)[:, None]
     d[:, -1] = w if bc.beta == 0 else 2.0 * p.sqmu * w**2
     return d
 

@@ -137,6 +137,46 @@ def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, n
     assert named in result.output
 
 
+#: json writes and reads this int, but no float holds it
+_TOO_LARGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "verb, config, named",
+    [
+        ("solve", {"constants": {"rho": _TOO_LARGE}}, "constants.rho"),
+        ("solve", {"modes": [{"k": 1, "h_w": _TOO_LARGE}]}, "modes[0].h_w"),
+        ("solve", {"lambda": {"im": -_TOO_LARGE}}, "lambda"),
+        ("verify-symbols", {"rho_range": [1, _TOO_LARGE]}, "rho_range"),
+        ("verify-traces", {"epsilon_choices": [1.0, _TOO_LARGE]}, "epsilon_choices"),
+        ("run-ns", {"dt": _TOO_LARGE}, "dt"),
+    ],
+)
+def test_number_too_large_for_a_float_exits_2_naming_the_key(
+    runner, tmp_path, verb, config, named
+):
+    result, _ = invoke(runner, verb, tmp_path, config)
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert named in result.output
+
+
+def test_solve_takes_a_plain_number_lambda(runner, tmp_path):
+    base = {
+        "modes": [{"k": 1, "h_w": 1.0}, {"k": 2, "h_w": 0.5}],
+        "grid": {"x_count": 8, "y_count": 17},
+    }
+    plain, plain_out = invoke(runner, "solve", tmp_path, {**base, "lambda": 0.5}, name="plain")
+    obj, obj_out = invoke(runner, "solve", tmp_path, {**base, "lambda": {"re": 0.5}}, name="obj")
+    assert plain.exit_code == 0, plain.output
+    assert obj.exit_code == 0, obj.output
+    assert (plain_out / "field.csv").read_bytes() == (obj_out / "field.csv").read_bytes()
+    # only a complex default takes a plain number in place of an object
+    result, _ = invoke(runner, "solve", tmp_path, {"constants": 1.0}, name="bad")
+    assert result.exit_code == 2
+    assert "'constants' must be an object" in result.output
+
+
 def test_single_mode_smoke_emits_one_row(runner, tmp_path):
     result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1})
     assert result.exit_code == 0, result.output

@@ -24,7 +24,7 @@ from stokesbc import (
     stream_function_field,
     synthesize_field,
 )
-from stokesbc.energy import _apply, _velocity_gradient
+from stokesbc.energy import _apply, _project_onto_bc, _velocity_gradient
 from stokesbc.halfspace import ModeSolution
 
 CONSTANTS = FluidConstants(1.0, 1.0, 1.0)
@@ -108,6 +108,22 @@ def test_classification_is_the_trial_loop(bc, kwargs):
     assert batch.max_abs_linear_power == loop.max_abs_linear_power
     assert batch.max_abs_full_power == loop.max_abs_full_power
     assert batch.empirical_class == loop.empirical_class
+
+
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: f"a{bc.alpha}b{bc.beta}")
+def test_classifier_projection_zeroes_the_wall_rows(bc):
+    # the classifier's constraint surface is the zero set of BcSpec's rows
+    mu, xi = 1.3, np.array([1.0, 2.0])
+    raw = np.random.default_rng(5).standard_normal((50, 2, 10))
+    amps = raw[..., 0::2] + 1j * raw[..., 1::2]
+
+    def rows(a):
+        v, w, dv, dw, p = np.moveaxis(a, -1, 0)
+        return bc.tangential_row(mu, v, dv, 1j * xi * w), bc.normal_row(mu, w, dw, p)
+
+    assert all(np.min(np.abs(row)) > 1e-3 for row in rows(amps))
+    _project_onto_bc(amps, bc, mu, xi)
+    assert all(np.max(np.abs(row)) <= 1e-15 for row in rows(amps))
 
 
 def test_balance_needs_three_snapshots():
@@ -329,3 +345,36 @@ def test_compatibility_stress_row_sees_alpha(alpha):
         rows = _rows(field, bc, 4.0, h_tangential=trace, h_normal=w0)
         assert rows["C1"].passed and rows["C3"].checked and rows["C3"].passed
         assert rows["C2"].checked and rows["C2"].passed is passed
+
+
+def _decaying_field(mu=1.3, b=1e-3, c=1.25):
+    # psi = b sin(x) e^{-c y}: divergence free, with wall traces
+    # v(0) = -c b sin(x) and w(0) = -b cos(x)
+    grid = GridSpec(2.0 * np.pi, 16, 12.0, 129, y_kind="cheb")
+    return _field(
+        grid,
+        lambda x, y: -c * b * np.sin(x) * np.exp(-c * y),
+        lambda x, y: -b * np.cos(x) * np.exp(-c * y),
+        FluidConstants(1.0, mu, 1.0),
+    )
+
+
+def test_compatibility_velocity_row_checks_the_datum():
+    field = _decaying_field()
+    v0, w0 = -1.25e-3 * np.sin(field.x), -1e-3 * np.cos(field.x)
+    rows = _rows(field, BcSpec(0, 0), 2.0, h_tangential=v0, h_normal=w0)
+    assert all(rows[c].checked and rows[c].passed for c in ("C1", "C2", "C3"))
+    assert rows["C2"].residual < 1e-12
+    wrong = _rows(field, BcSpec(0, 0), 2.0, h_tangential=-v0, h_normal=w0)["C2"]
+    assert wrong.checked and not wrong.passed
+    assert wrong.residual > 1e-3
+    # below p = 3/2 the velocity trace is undefined and the row is skipped
+    assert not _rows(field, BcSpec(0, 0), 1.0, h_tangential=-v0)["C2"].checked
+
+
+@pytest.mark.parametrize("beta", [1, -1])
+def test_compatibility_pressure_type_normal_row_is_unchecked(beta):
+    # w(0) != 0 and no datum: a velocity-type row would fail, these impose nothing
+    rows = _rows(_decaying_field(), BcSpec(0, beta), 4.0)
+    assert not rows["C3"].checked and rows["C3"].passed
+    assert _rows(_decaying_field(), BcSpec(0, 0), 4.0)["C3"].passed is False

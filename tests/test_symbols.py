@@ -245,9 +245,9 @@ def test_generic_gap_rejects_cancelling_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("beta", [0, 1])
 def test_antisymmetric_stress_row_is_stable(beta):
-    """B's (-1, beta) tangential entry is -sqrt(mu) omega^2 (1 - s^2) = -sqrt(mu) rho lambda_eps."""
+    """B's (-1, beta) tangential entry is sqrt(mu) omega^2 (1 - s^2) = sqrt(mu) rho lambda_eps."""
     m = SEED72_MODE
-    expected = -math.sqrt(m["mu"]) * m["rho"] * (m["epsilon"] + m["lam"])
+    expected = math.sqrt(m["mu"]) * m["rho"] * (m["epsilon"] + m["lam"])
     b = boundary_symbol(_seed72_mode(), BcSpec(-1, beta))
     assert abs(b[0, 0] - expected) < 1e-14 * abs(expected)
 
