@@ -208,6 +208,18 @@ def _require_int(cfg: dict, key: str, *, minimum: int | None = None, path: str =
     return val
 
 
+def _wavenumber(grid: GridSpec, k: int, where: str) -> float:
+    """grid.wavenumber(k) for the harmonic k read from where; a k whose
+    wavenumber 2 pi k / x_length is not a finite float is a config error."""
+    try:
+        xi = grid.wavenumber(k)
+    except OverflowError:  # k itself is too large for a float
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise ConfigError(f"{where!r} is too large: 2 pi k / x_length must be finite")
+    return xi
+
+
 def _require_range(cfg: dict, key: str, *, positive: bool = False) -> tuple[float, float]:
     val = cfg[key]
     if (
@@ -238,6 +250,8 @@ def _load_config(command: str, config_path: str | None, seed: int | None) -> dic
                 f"config parse error in {config_path}: line {exc.lineno} "
                 f"column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # non-UTF-8 bytes, or an int past the digit limit
+            raise ConfigError(f"config parse error in {config_path}: {exc}") from exc
         if not isinstance(override, dict):
             raise ConfigError("config root must be a JSON object")
     resolved = _merge_config(defaults, override)
@@ -735,7 +749,7 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         if k in contributions:
             raise ConfigError(f"duplicate mode k = {k}")
         h_w = _parse_complex(entry.get("h_w", 1.0), f"{where}.h_w")
-        mode = derive_mode(constants, lam, (grid.wavenumber(k),))
+        mode = derive_mode(constants, lam, (_wavenumber(grid, k, f"{where}.k"),))
         contributions[k] = solve_mode(mode, bc, h_w)
         data.append((k, h_w))
 
@@ -874,6 +888,7 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
     init = cfg["initial"]
     _require_number(init, "amplitude", path="initial")
     _require_int(init, "k", minimum=1, path="initial")
+    _wavenumber(grid, init["k"], "initial.k")
     _require_number(init, "decay", positive=True, path="initial")
     dt = _require_number(cfg, "dt", positive=True)
     n_steps = _require_int(cfg, "n_steps", minimum=1)

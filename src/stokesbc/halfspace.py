@@ -497,14 +497,18 @@ def synthesize_field(
     contributions maps harmonics k >= 1 to ModeSolution objects whose
     tangential frequency must equal 2 pi k / x_length.  The conjugate
     partner -k is implied: each entry contributes 2 Re(e^{i xi_k x} uhat_k).
+
+    The sum is one unscaled inverse real FFT over x of the profiles
+    (u_x, u_y, p)hat_k(y), each placed in the rfft bin of its harmonic.  On
+    the nx x nodes harmonic k is harmonic b = k mod nx; a bin b > nx/2 is
+    read as bin nx - b with the conjugate profile, and bin 0 (and bin nx/2
+    for even nx) takes twice the profile, since the inverse transform reads
+    only the real part there.  So harmonics the grid cannot resolve give on
+    the nodes exactly what the direct sum gives.
     """
-    field = SampledField(
-        grid,
-        constants,
-        np.zeros((2, grid.x_count, grid.y_count)),
-        np.zeros((grid.x_count, grid.y_count)),
-    )
-    x, y, u, p = field.x, field.y, field.velocity, field.pressure
+    nx, ny = grid.x_count, grid.y_count
+    y = grid.y_nodes()
+    spectrum = np.zeros((3, nx // 2 + 1, ny), dtype=complex)
     for k in sorted(contributions):
         if k < 1:
             raise ValueError(f"harmonic k must be >= 1, got {k}")
@@ -520,13 +524,17 @@ def synthesize_field(
                 f"contribution {k} has xi = {got}, expected ({expected},)"
             )
 
-        vhat = sol.velocity.evaluate(y)  # (2, ny)
-        phat = np.atleast_1d(sol.pressure(y))
-        phase = np.exp(1j * expected * x)  # (nx,)
-        u += 2.0 * np.real(phase[None, :, None] * vhat[:, None, :])
-        p += 2.0 * np.real(phase[:, None] * phat[None, :])
+        uhat = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))  # (3, ny)
+        b = k % nx
+        if 2 * b > nx:
+            spectrum[:, nx - b] += np.conj(uhat)
+        elif b == 0 or 2 * b == nx:
+            spectrum[:, b] += 2.0 * uhat
+        else:
+            spectrum[:, b] += uhat
 
-    return field
+    samples = np.fft.irfft(spectrum, n=nx, axis=1, norm="forward")  # (3, nx, ny)
+    return SampledField(grid, constants, samples[:2], samples[2])
 
 
 # ---------------------------------------------------------------------------

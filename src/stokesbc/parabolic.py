@@ -431,9 +431,16 @@ class VerificationReport:
 
     @property
     def worst(self) -> dict:
+        """The entry of largest rel_error.  Entries within a relative 1e-12
+        of the largest tie, and the first of them is the worst, so that a
+        last-bit change in the errors does not rename it; a NaN error is
+        the worst of all."""
         if not self.entries:
             return {}
-        return max(self.entries, key=lambda e: e["rel_error"])
+        errors = np.array([e["rel_error"] for e in self.entries])
+        top = np.max(errors)
+        ties = np.isnan(errors) if np.isnan(top) else errors >= top - 1.0e-12 * top
+        return self.entries[int(np.argmax(ties))]
 
 
 def _unit_datum_source(batch: ModeBatch, dirichlet: bool):

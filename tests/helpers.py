@@ -11,7 +11,7 @@ import numpy as np
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.energy import ClassificationReport
 from stokesbc.cli import _csv_cell
-from stokesbc.halfspace import ModeSolution
+from stokesbc.halfspace import ModeSolution, SampledField
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 from stokesbc.quadrature import gauss_kronrod_15
 from stokesbc.symbols import ALL_BCS, SYMBOL_BCS, BcSpec  # noqa: F401  (re-exported to the tests)
@@ -135,6 +135,27 @@ def reference_write_field_csv(path, field):
                 )
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_synthesize_field(constants, contributions, grid):
+    """The per-mode phase sum the FFT synthesis in
+    halfspace.synthesize_field replaced: each harmonic k adds
+    2 Re(e^{i xi_k x} uhat_k(y)) at every node."""
+    field = SampledField(
+        grid,
+        constants,
+        np.zeros((2, grid.x_count, grid.y_count)),
+        np.zeros((grid.x_count, grid.y_count)),
+    )
+    x, y, u, p = field.x, field.y, field.velocity, field.pressure
+    for k in sorted(contributions):
+        sol = contributions[k]
+        vhat = sol.velocity.evaluate(y)  # (2, ny)
+        phat = np.atleast_1d(sol.pressure(y))
+        phase = np.exp(1j * grid.wavenumber(k) * x)  # (nx,)
+        u += 2.0 * np.real(phase[None, :, None] * vhat[:, None, :])
+        p += 2.0 * np.real(phase[:, None] * phat[None, :])
+    return field
 
 
 def reference_write_csv(path, header, rows):

@@ -150,6 +150,10 @@ _TOO_LARGE = 10**400
         ("verify-symbols", {"rho_range": [1, _TOO_LARGE]}, "rho_range"),
         ("verify-traces", {"epsilon_choices": [1.0, _TOO_LARGE]}, "epsilon_choices"),
         ("run-ns", {"dt": _TOO_LARGE}, "dt"),
+        # harmonics: 2 pi k / x_length must be a finite float as well as k
+        ("solve", {"modes": [{"k": 1}, {"k": _TOO_LARGE}]}, "modes[1].k"),
+        ("solve", {"modes": [{"k": 10**308}]}, "modes[0].k"),
+        ("run-ns", {"initial": {"k": _TOO_LARGE}}, "initial.k"),
     ],
 )
 def test_number_too_large_for_a_float_exits_2_naming_the_key(
@@ -159,6 +163,16 @@ def test_number_too_large_for_a_float_exits_2_naming_the_key(
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert named in result.output
+
+
+def test_integer_past_the_digit_limit_is_a_config_parse_error(runner, tmp_path):
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text('{"modes": [{"k": 1' + "0" * 5000 + "}]}")
+    result = runner.invoke(
+        main, ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "config parse error" in result.output
 
 
 def test_solve_takes_a_plain_number_lambda(runner, tmp_path):

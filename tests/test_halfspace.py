@@ -12,6 +12,7 @@ from helpers import (
     complex_amp,
     draw_mode,
     manufacture_solution,
+    reference_synthesize_field,
     reference_write_field_csv,
     solution_sup_gap,
 )
@@ -214,6 +215,78 @@ def test_synthesize_field_rejects_harmonics_below_one(k):
     sol = solve_mode(mode, BcSpec(0, 1), 1.0)
     with pytest.raises(ValueError, match=">= 1"):
         synthesize_field(constants, {k: sol}, grid)
+
+
+def lattice_solutions(constants, grid, harmonics, seed=3):
+    rng = np.random.default_rng(seed)
+    return {
+        k: solve_mode(
+            derive_mode(constants, 0.5j, (grid.wavenumber(k),)),
+            BcSpec(1, 1),
+            complex(*rng.standard_normal(2)) / k,
+        )
+        for k in harmonics
+    }
+
+
+def stacked(field):
+    return np.concatenate((field.velocity, field.pressure[None]))
+
+
+@pytest.mark.parametrize("x_count", [1, 2, 15, 16])
+@pytest.mark.parametrize(
+    "y_kind, y_grading", [("uniform", 0.0), ("graded", 3.0), ("cheb", 0.0)]
+)
+def test_synthesize_field_is_the_direct_phase_sum(x_count, y_kind, y_grading):
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, x_count, 8.0, 17, y_grading, y_kind)
+    # the Nyquist harmonic x_count / 2, harmonics past it that alias onto the
+    # conjugate bin x_count - b, x_count itself (bin 0) and wrapped harmonics
+    n = x_count
+    harmonics = {1, 2, n // 2, n // 2 + 1, n, n + 1, n + n // 2, 2 * n + 3} - {0}
+    sols = lattice_solutions(constants, grid, harmonics)
+    field = synthesize_field(constants, sols, grid)
+    reference = reference_synthesize_field(constants, sols, grid)
+    scale = np.max(np.abs(stacked(reference)))
+    assert scale > 0.0
+    assert np.max(np.abs(stacked(field) - stacked(reference))) <= 1e-13 * scale
+
+
+def test_synthesize_field_is_no_less_accurate_than_the_phase_sum():
+    # the exact field at x_j = j L / nx, in extended precision from the same
+    # double profiles: harmonic k has phase 2 pi (k j mod nx) / nx there
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    nx = 64
+    grid = GridSpec(2.0 * np.pi, nx, 8.0, 9)
+    sols = lattice_solutions(constants, grid, range(1, 41))
+    y, j = grid.y_nodes(), np.arange(nx)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    exact = np.zeros((3, nx, len(y)), dtype=np.longdouble)
+    for k, sol in sols.items():
+        uhat = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))[:, None, :]
+        theta = two_pi * ((k * j) % nx) / nx
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        re, im = uhat.real.astype(np.longdouble), uhat.imag.astype(np.longdouble)
+        exact += 2 * (re * cos - im * sin)
+    scale = float(np.max(np.abs(exact)))
+    fft_error = float(np.max(np.abs(stacked(synthesize_field(constants, sols, grid)) - exact)))
+    sum_error = float(
+        np.max(np.abs(stacked(reference_synthesize_field(constants, sols, grid)) - exact))
+    )
+    assert fft_error <= sum_error
+    assert fft_error <= 2e-15 * scale
+
+
+def test_synthesize_field_keeps_its_checks():
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, 16, 8.0, 33)
+    sol = lattice_solutions(constants, grid, [2])[2]
+    with pytest.raises(TypeError, match="not a ModeSolution"):
+        synthesize_field(constants, {2: "profile"}, grid)
+    with pytest.raises(ValueError, match="mismatched fluid constants"):
+        synthesize_field(FluidConstants(2.0, 1.0, 1.0), {2: sol}, grid)
+    with pytest.raises(ValueError, match="expected"):
+        synthesize_field(constants, {3: sol}, grid)
 
 
 def test_sampled_field_nodes_come_from_the_grid():

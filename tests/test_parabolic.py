@@ -28,7 +28,12 @@ from stokesbc import (
     verify_trace_relations,
 )
 from stokesbc import cli
-from stokesbc.parabolic import _KW_BY_ALPHA, _wall_traces, eval_kernel_dy
+from stokesbc.parabolic import (
+    _KW_BY_ALPHA,
+    VerificationReport,
+    _wall_traces,
+    eval_kernel_dy,
+)
 from stokesbc.profiles import ScalarModeProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -177,6 +182,25 @@ def test_trace_relations_smoke(relation, alphas):
             assert set(entry) >= {
                 "abs_xi", "lambda_re", "lambda_im", "rho", "mu", "epsilon", "rel_error",
             }
+
+
+def _report_of_errors(*errors):
+    entries = tuple({"abs_xi": float(i), "rel_error": e} for i, e in enumerate(errors))
+    top = max(errors, default=0.0)
+    return VerificationReport("T00", 0, 1e-7, len(entries), top, True, entries=entries)
+
+
+def test_worst_breaks_last_bit_ties_by_the_lowest_index():
+    low = 3.5e-15
+    high = math.nextafter(low, 1.0)
+    # the worst mode is the first of two rows one ulp apart, in either order
+    assert _report_of_errors(low, high).worst["abs_xi"] == 0.0
+    assert _report_of_errors(high, low).worst["abs_xi"] == 0.0
+    # a maximum clear of the 1e-12 window still wins from any position
+    assert _report_of_errors(low, low * (1.0 + 1e-9)).worst["abs_xi"] == 1.0
+    assert _report_of_errors(0.0, 0.0).worst["abs_xi"] == 0.0
+    assert _report_of_errors(low, math.nan, 1.0).worst["abs_xi"] == 1.0
+    assert _report_of_errors().worst == {}
 
 
 def test_trace_relation_rejects_unknown_alpha():
