@@ -26,7 +26,6 @@ Exit codes: 0 success, 1 tolerance breach (or non-converged run),
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -320,123 +319,53 @@ def _write_report(out_dir: str, name: str, report: dict) -> str:
 
 
 def _draw_constants(rng: np.random.Generator, cfg: dict):
-    """One random admissible (constants, lambda, |xi|) sample: the reference
-    draw that _draw_modes must reproduce bit for bit.
+    """One random admissible (constants, lambda, |xi|) sample: the ModeParams
+    of _draw_modes(rng, cfg, 1).
 
-    Its calls on rng -- uniforms for log10 |xi| and Im lambda, the epsilon
-    choice, uniforms for log10 rho and log10 mu, in this order -- are part of
-    the determinism contract.  The sweeps draw through _draw_modes, which
-    falls back to calling this once per mode.
+    The k-th call on a fresh generator gives, bit for bit, row k - 1 of
+    _draw_modes(rng, cfg, count) on a generator of the same seed, for any
+    count >= k.
     """
-    lo, hi = cfg["abs_xi_range"]
-    abs_xi = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
-    lam_lo, lam_hi = cfg["lambda_im_range"]
-    lam = 1j * rng.uniform(lam_lo, lam_hi)
-    eps = float(rng.choice(cfg["epsilon_choices"]))
-    rho_lo, rho_hi = cfg["rho_range"]
-    rho = 10.0 ** rng.uniform(math.log10(rho_lo), math.log10(rho_hi))
-    mu_lo, mu_hi = cfg["mu_range"]
-    mu = 10.0 ** rng.uniform(math.log10(mu_lo), math.log10(mu_hi))
-    constants = FluidConstants(rho=rho, mu=mu, epsilon=eps)
-    return derive_mode(constants, lam, (abs_xi,))
-
-
-_LOW32 = np.uint64(0xFFFFFFFF)
+    batch = _draw_modes(rng, cfg, 1)
+    constants = FluidConstants(
+        rho=batch.rho.item(), mu=batch.mu.item(), epsilon=batch.epsilon.item()
+    )
+    return derive_mode(constants, batch.lam.item(), batch.xi[0])
 
 
 def _draw_modes(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch:
-    """count _draw_constants draws from rng, as one validated ModeBatch.
+    """count random admissible modes, as one validated ModeBatch.
 
-    The modes are those of the scalar loop, bit for bit, rebuilt from the
-    generator's raw words (_draw_modes_raw).  The scalar loop runs instead
-    when the check of that layout failed in this process (_raw_layout_holds)
-    or when an epsilon index needs a rejected word.
+    Mode i is row i of u = rng.random((count, 5)), by column: log10 |xi|,
+    Im lambda, the index floor(u k) into the k epsilon_choices, log10 rho
+    and log10 mu, each but the index uniform on its config range.  Each
+    double spends one generator word, so row i is bit for bit the i-th
+    one-mode draw (_draw_constants) from a generator of the same seed: the
+    modes of a chunk do not depend on how it is split.
     """
-    if _raw_layout_holds():
-        batch = _draw_modes_raw(rng, cfg, count)
-        if batch is not None:
-            return batch.check_admissible()
-    return ModeBatch.from_modes([_draw_constants(rng, cfg) for _ in range(count)])
-
-
-def _draw_modes_raw(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch | None:
-    """count _draw_constants draws rebuilt from rng's raw 64-bit words.
-
-    On numpy's PCG64, a uniform is (w >> 11) 2^-53 of one word w, and an
-    epsilon index one 32-bit bounded draw by Lemire's multiply-and-reject
-    method, taken from the low half of a fresh word and then from the half
-    the generator buffered.  So two modes spend 9 words: uniforms at words
-    0, 1, 3, 4 (mode A) and 5 to 8 (mode B), A's index from word 2's low
-    half, B's from its high half.  With a single epsilon choice no index
-    is drawn and a mode spends 4 words.  Returns None, with rng's state put
-    back, when an index draw would be rejected and redrawn.
-    """
-    choices = np.asarray(cfg["epsilon_choices"], dtype=float)
-    k = len(choices)
-    bits = rng.bit_generator
-    if k == 1:
-        uniforms = _unit_doubles(bits.random_raw(4 * count)).reshape(count, 4)
-        eps = np.full(count, choices[0])
-    else:
-        state = bits.state
-        n_words = 9 * (count // 2) + 5 * (count % 2)
-        words = np.zeros((-(-count // 2), 9), dtype=np.uint64)
-        words.flat[:n_words] = bits.random_raw(n_words)
-        uniforms = _unit_doubles(words[:, [0, 1, 3, 4, 5, 6, 7, 8]]).reshape(-1, 4)[:count]
-        halves = np.stack([words[:, 2] & _LOW32, words[:, 2] >> np.uint64(32)], axis=1)
-        scaled = halves.reshape(-1)[:count] * np.uint64(k)
-        if np.any(_lemire_rejects(scaled, k)):
-            bits.state = state
-            return None
-        eps = choices[(scaled >> np.uint64(32)).astype(np.intp)]
+    u = rng.random((count, 5))
 
     def uniform(col: int, lo: float, hi: float) -> np.ndarray:
-        return lo + (hi - lo) * uniforms[:, col]
+        return lo + (hi - lo) * u[:, col]
 
     def log_uniform(col: int, key: str) -> np.ndarray:
-        # the scalar loop's float pow, one element at a time: numpy's vector
-        # power is not correctly rounded and can differ from it by an ulp
+        # Python's float pow, one element at a time, so that a value does
+        # not depend on its position in the array: numpy's vector power is
+        # not correctly rounded and may take another path on another length
         lo, hi = cfg[key]
         logs = uniform(col, math.log10(lo), math.log10(hi))
         return np.array([10.0**x for x in logs.tolist()])
 
-    lam = np.zeros(count, dtype=complex)
-    # rng.uniform takes its bounds as doubles
-    lam.imag = uniform(1, *map(float, cfg["lambda_im_range"]))
+    choices = np.asarray(cfg["epsilon_choices"], dtype=float)
+    # u < 1 and k < 2^53, so the correctly rounded u k stays below k
+    eps = choices[(u[:, 2] * len(choices)).astype(np.intp)]
     return ModeBatch(
-        rho=log_uniform(2, "rho_range"),
-        mu=log_uniform(3, "mu_range"),
+        rho=log_uniform(3, "rho_range"),
+        mu=log_uniform(4, "mu_range"),
         epsilon=eps,
-        lam=lam,
+        lam=1j * uniform(1, *map(float, cfg["lambda_im_range"])),
         xi=log_uniform(0, "abs_xi_range")[:, None],
-    )
-
-
-def _lemire_rejects(scaled: np.ndarray, k: int) -> np.ndarray:
-    """Whether Lemire's method rejects each 32-bit word x of a draw from
-    range(k), given scaled = x k: when the low half of x k falls below
-    2^32 mod k, and the index would otherwise be the high half."""
-    return (scaled & _LOW32) < 2**32 % k
-
-
-def _unit_doubles(words: np.ndarray) -> np.ndarray:
-    """The uniform double in [0, 1) numpy makes of each raw 64-bit word."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-@functools.cache
-def _raw_layout_holds() -> bool:
-    """Whether _draw_modes_raw reproduces the scalar draws on this numpy:
-    two modes from one fixed seed are drawn both ways and their parameters
-    compared to the last bit (the symbols derive from them alike)."""
-    cfg = _DEFAULTS["verify-symbols"]
-    fast = _draw_modes_raw(np.random.default_rng(0), cfg, 2)
-    rng = np.random.default_rng(0)
-    slow = ModeBatch.from_modes([_draw_constants(rng, cfg) for _ in range(2)])
-    return fast is not None and all(
-        getattr(fast, f).tobytes() == getattr(slow, f).tobytes()
-        for f in ("rho", "mu", "epsilon", "lam", "xi")
-    )
+    ).check_admissible()
 
 
 def _validate_sweep_config(cfg: dict) -> None:

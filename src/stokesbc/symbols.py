@@ -274,8 +274,9 @@ SYMBOL_BCS = tuple(BcSpec(a, b) for b in (0, 1) for a in (0, 1, -1))
 def derive_mode(constants: FluidConstants, lam: complex, xi) -> ModeParams:
     """Validate and derive a mode-parameter point.
 
-    Rejects Re lam < 0, non-finite lam or xi, an empty xi (n < 2) and
-    (via FluidConstants) nonpositive rho/mu/epsilon.
+    Rejects Re lam < 0, non-finite lam or xi, an |xi|^2 or omega that
+    overflows, an empty xi (n < 2) and (via FluidConstants) nonpositive
+    rho/mu/epsilon.
     """
     if np.ndim(xi) == 0:
         xi = (xi,)
@@ -318,8 +319,8 @@ class ModeBatch:
     def check_admissible(self) -> "ModeBatch":
         """self, after the admissibility checks: at least one tangential
         component (n >= 2); rho, mu, epsilon finite and > 0; lam finite with
-        Re lam >= 0; xi finite.  Raises InvalidModeError naming the first
-        offending mode."""
+        Re lam >= 0; xi finite; |xi|^2 and omega finite.  Raises
+        InvalidModeError naming the first offending mode."""
         if self.xi.shape[1] < 1:
             raise InvalidModeError("xi must have at least one component (n >= 2)")
         checks = [
@@ -331,6 +332,12 @@ class ModeBatch:
             ("Re lambda must be >= 0", self.lam, self.lam.real >= 0.0),
             ("xi must be finite", self.xi, np.isfinite(self.xi).all(axis=1)),
         ]
+        # finite parameters can still overflow the symbols derived from them
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks += [
+                ("|xi|^2 must be finite", self.xi_sq, np.isfinite(self.xi_sq)),
+                ("omega must be finite", self.omega, np.isfinite(self.omega)),
+            ]
         for what, val, ok in checks:
             if not ok.all():
                 i = int(np.argmin(ok))

@@ -336,6 +336,24 @@ def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path):
     assert len(alone) == 4 * 16
 
 
+def test_verify_symbols_rows_are_redrawn_one_mode_at_a_time(runner, tmp_path):
+    """Each row's mode is the (index + 1)-th _draw_constants call on its
+    chunk's generator, column for column by repr."""
+    result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 40})
+    assert result.exit_code == 0, result.output
+    resolved = json.loads((out / "verify_symbols.json").read_text())["config"]
+    rows = read_rows(out / "verify_symbols.csv")
+    assert len(rows) == 40
+    for row in rows:
+        rng = np.random.default_rng([resolved["seed"], int(row["chunk"])])
+        for _ in range(int(row["index"]) + 1):
+            mode = cli._draw_constants(rng, resolved)
+        c = mode.constants
+        drawn = (mode.abs_xi, mode.lam.imag, c.epsilon, c.rho, c.mu)
+        columns = ("abs_xi", "lambda_im", "epsilon", "rho", "mu")
+        assert [repr(v) for v in drawn] == [row[name] for name in columns]
+
+
 def test_verify_traces_budget_exhaustion_exit_code(runner, tmp_path):
     cfg = {
         "n_modes": 2,
@@ -376,6 +394,13 @@ def test_solve_single_mode_artifacts(runner, tmp_path):
     assert worst < 1e-6
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["modes"][0]["k"] == 1
+
+
+def test_solve_overflowing_mode_is_a_config_error(runner, tmp_path):
+    # xi = 2 pi 10^300 / x_length is finite, |xi|^2 is not
+    result, _ = invoke(runner, "solve", tmp_path, {"modes": [{"k": 10**300}]})
+    assert result.exit_code == 2, result.output
+    assert "|xi|^2 must be finite" in result.output
 
 
 def test_solve_duplicate_mode_rejected(runner, tmp_path):
@@ -476,13 +501,14 @@ def test_reports_embed_resolved_config(runner, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# batch mode draws
+# mode draws
 # ---------------------------------------------------------------------------
 
 MODE_FIELDS = ("rho", "mu", "epsilon", "lam", "xi", "omega")
 
 
-def scalar_draws(key, cfg, count):
+def single_draws(key, cfg, count):
+    """count one-mode draws, one after another, from one generator."""
     rng = np.random.default_rng(key)
     return cli.ModeBatch.from_modes([cli._draw_constants(rng, cfg) for _ in range(count)])
 
@@ -494,63 +520,30 @@ def assert_same_modes(batch, reference):
         assert got.tobytes() == want.tobytes(), name
 
 
-@pytest.fixture()
-def fresh_layout_check():
-    cli._raw_layout_holds.cache_clear()
-    yield
-    cli._raw_layout_holds.cache_clear()
-
-
 @pytest.mark.parametrize("seed", [2024, 1, 72])
 @pytest.mark.parametrize("choices", [[2.5], [0.5, 3], [1.0e-2, 1.0, 1.0e2]])
 def test_batch_draw_is_the_scalar_loop(seed, choices):
+    """Row i of a count-mode draw is, byte for byte, the i-th one-mode draw
+    from a generator on the same key."""
     cfg = {**cli._DEFAULTS["verify-symbols"], "epsilon_choices": choices}
-    assert cli._raw_layout_holds()
-    for count in (1, 2, 18, 19, 625):
+    for count in (1, 2, 19, 625):
         for key in ([seed, 5], [seed, 1, 0, 11]):
             batch = cli._draw_modes(np.random.default_rng(key), cfg, count)
-            assert_same_modes(batch, scalar_draws(key, cfg, count))
+            assert_same_modes(batch, single_draws(key, cfg, count))
 
 
-def test_lemire_rejection_matches_numpy():
-    """The rejection rule is numpy's: for a range where a quarter of all
-    words are rejected, an accepted first word gives integers() its value."""
-    k = 3 * 2**30
-    accepted = rejected = 0
-    for seed in range(40):
-        word = np.random.default_rng(seed).bit_generator.random_raw(1)
-        scaled = (word & cli._LOW32) * np.uint64(k)
-        if cli._lemire_rejects(scaled, k)[0]:
-            rejected += 1
-        else:
-            accepted += 1
-            index = int(scaled[0] >> np.uint64(32))
-            assert np.random.default_rng(seed).integers(0, k) == index
-    assert accepted and rejected
-
-
-def test_rejected_index_word_falls_back_to_the_scalar_loop(monkeypatch):
-    cfg = cli._DEFAULTS["verify-symbols"]
-    monkeypatch.setattr(cli, "_lemire_rejects", lambda scaled, k: np.ones(len(scaled), bool))
-    rng = np.random.default_rng([7, 3])
-    assert cli._draw_modes_raw(rng, cfg, 19) is None
-    # the state is put back, so the fallback sees the chunk's whole stream
-    assert_same_modes(cli._draw_modes(rng, cfg, 19), scalar_draws([7, 3], cfg, 19))
-
-
-def test_layout_mismatch_runs_the_scalar_loop(monkeypatch, fresh_layout_check):
-    cfg = cli._DEFAULTS["verify-symbols"]
-    raw = cli._draw_modes_raw
-
-    def shifted(rng, cfg, count):
-        batch = raw(rng, cfg, count)
-        xi = np.nextafter(batch.xi, np.inf)
-        return cli.ModeBatch(batch.rho, batch.mu, batch.epsilon, batch.lam, xi)
-
-    monkeypatch.setattr(cli, "_draw_modes_raw", shifted)
-    assert not cli._raw_layout_holds()
-    batch = cli._draw_modes(np.random.default_rng([7, 3]), cfg, 19)
-    assert_same_modes(batch, scalar_draws([7, 3], cfg, 19))
+def test_draw_reads_one_row_of_five_uniforms_per_mode():
+    cfg = {**cli._DEFAULTS["verify-symbols"], "lambda_im_range": [1.0, 3.0]}
+    rng = np.random.default_rng(11)
+    batch = cli._draw_modes(rng, cfg, 50)
+    u = np.random.default_rng(11).random((50, 5))
+    # the draw spends exactly the words of its rows
+    assert rng.random() == np.random.default_rng(11).random(50 * 5 + 1)[-1]
+    assert np.allclose(np.log10(batch.abs_xi), -2.0 + 4.0 * u[:, 0], rtol=0, atol=1e-13)
+    assert np.array_equal(batch.lam.imag, 1.0 + 2.0 * u[:, 1])
+    assert np.array_equal(batch.epsilon, np.array([1.0e-2, 1.0, 1.0e2])[(3 * u[:, 2]).astype(int)])
+    assert np.allclose(np.log10(batch.rho), -1.0 + 2.0 * u[:, 3], rtol=0, atol=1e-13)
+    assert np.allclose(np.log10(batch.mu), -1.0 + 2.0 * u[:, 4], rtol=0, atol=1e-13)
 
 
 def test_batch_draw_validates_like_the_scalar_loop():
@@ -558,21 +551,37 @@ def test_batch_draw_validates_like_the_scalar_loop():
     with pytest.raises(cli.InvalidModeError, match="epsilon"):
         cli._draw_modes(np.random.default_rng(0), cfg, 16)
     with pytest.raises(cli.InvalidModeError, match="epsilon"):
-        scalar_draws(0, cfg, 16)
+        single_draws(0, cfg, 16)
 
 
-# first mode of chunks 0 and 15 at seed 2024, for the verify-symbols stream
-# keying [seed, chunk] and the verify-traces keying [seed, ri, alpha + 1, chunk]
-# of T00: (rho, mu, epsilon, lam, xi, omega)
+# first and last mode of chunks 0 and 15 at seed 2024, for the verify-symbols
+# stream keying [seed, chunk] and the verify-traces keying
+# [seed, ri, alpha + 1, chunk] of T00: (rho, mu, epsilon, lam, xi, omega)
 PINNED_DRAWS = {
-    (2024, 0): "(3.971295407453055, 9.808536165558511, 0.01, 21.432320123825765j, "
-    "(5.050395064732896,), (16.039357336936686+2.6532881801568697j))",
-    (2024, 15): "(0.26997576959248104, 1.2557034410742998, 0.01, 59.86544477989519j, "
-    "(0.831806271805181,), (2.920378684119192+2.7671444827236553j))",
-    (2024, 0, 1, 0): "(0.8587700453317249, 8.09334598371778, 100.0, 75.90495139660773j, "
-    "(17.845210346017023,), (51.61021450579898+0.6315116026541892j))",
-    (2024, 0, 1, 15): "(1.3613137924089436, 2.5649521958745836, 1.0, 86.61990818221726j, "
-    "(0.03238724358556108,), (7.722977688780644+7.6341587699359374j))",
+    (2024, 0): (
+        "(3.971295407453055, 9.808536165558511, 0.01, 21.432320123825765j, "
+        "(5.050395064732896,), (16.039357336936686+2.6532881801568697j))",
+        "(0.4283808221755594, 0.10740300581619217, 100.0, 39.41460266618647j, "
+        "(15.59099846711987,), (8.364460777736003+1.0092975712675916j))",
+    ),
+    (2024, 15): (
+        "(0.26997576959248104, 1.2557034410742998, 100.0, 59.86544477989519j, "
+        "(0.831806271805181,), (5.480902459810009+1.4744122564633846j))",
+        "(4.597827127544852, 0.5516815614302584, 0.01, 42.67295113852752j, "
+        "(27.447045208915014,), (20.91985503809728+4.689393210416888j))",
+    ),
+    (2024, 0, 1, 0): (
+        "(0.8587700453317249, 8.09334598371778, 100.0, 75.90495139660773j, "
+        "(17.845210346017023,), (51.61021450579898+0.6315116026541892j))",
+        "(1.7171322609225457, 0.81585579794979, 100.0, 11.669635910705633j, "
+        "(1.6863775415910172,), (13.213944139867722+0.7582258591148201j))",
+    ),
+    (2024, 0, 1, 15): (
+        "(1.3613137924089436, 2.5649521958745836, 0.01, 86.61990818221726j, "
+        "(0.03238724358556108,), (7.678970648305486+7.677909000190625j))",
+        "(9.879618608173478, 2.4903055250289863, 1.0, 48.83478457474501j, "
+        "(0.27880667950280574,), (15.694702755833733+15.370442305173947j))",
+    ),
 }
 
 
@@ -582,9 +591,10 @@ def test_mode_stream_is_pinned(key):
     cfg = cli._DEFAULTS[verb]
     count = cli._chunk_counts(cfg["n_modes"])[key[-1]]
     batch = cli._draw_modes(np.random.default_rng(list(key)), cfg, count)
-    first = tuple(getattr(batch, name)[0].item() for name in ("rho", "mu", "epsilon", "lam"))
-    first += (tuple(batch.xi[0].tolist()), batch.omega[0].item())
-    assert repr(first) == PINNED_DRAWS[key]
+    for i, pinned in zip((0, -1), PINNED_DRAWS[key]):
+        mode = tuple(getattr(batch, name)[i].item() for name in ("rho", "mu", "epsilon", "lam"))
+        mode += (tuple(batch.xi[i].tolist()), batch.omega[i].item())
+        assert repr(mode) == pinned
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from helpers import (
     standard_mode,
 )
 from stokesbc import (
+    FluidConstants,
     KernelSpec,
     ModeBatch,
     QuadratureCfg,
@@ -27,7 +28,6 @@ from stokesbc import (
     trace_multiplier,
     verify_trace_relations,
 )
-from stokesbc import cli
 from stokesbc.parabolic import (
     _KW_BY_ALPHA,
     VerificationReport,
@@ -208,41 +208,40 @@ def test_trace_relation_rejects_unknown_alpha():
         verify_trace_relations([standard_mode()], 1, "T00")
 
 
-# verify_traces.csv rows (seed, relation, alpha, chunk, index) that the old
-# window 40 / min(Re m, |xi|) got wrong.  At |xi| ~ 0.01 it is ~3000 long,
-# and its one GK15 panel puts no node in the wall layer of width 1 / Re m.
-OLD_WORST = (2024, "T11", -1, 8, 2)  # rel_error 8.1e-8, the default run's worst
-WHOLE_MISS = (2, "T00", 0, 6, 14)  # rel_error 1.0: the quadrature read 0
+# verify_traces.csv modes, as (relation, alpha, (rho, mu, epsilon, lambda, xi)),
+# that the old window 40 / min(Re m, |xi|) got wrong.  At |xi| ~ 0.01 it is
+# ~3000 long, and its one GK15 panel puts no node in the wall layer of width
+# 1 / Re m.
+OLD_WORST = (  # rel_error 8.1e-8, then the default run's worst
+    "T11",
+    -1,
+    (5.473706133907765, 0.15105829980491725, 100.0, 41.49577493052249j, (0.012633950757312913,)),
+)
+WHOLE_MISS = (  # rel_error 1.0: the quadrature read 0
+    "T00",
+    0,
+    (5.014920007632094, 0.1851475815412439, 100.0, 83.09002571720316j, (0.010486009520697554,)),
+)
 # rel_error 9.8e-11 while the alpha = -1 weights divided by omega^2 - |zeta|^2:
 # rho lambda_eps = 0.0014 + 0.0042i against mu |xi|^2 = 2e4
-CANCELLING = (6, "T10", -1, 3, 15)
+CANCELLING = (
+    "T10",
+    -1,
+    (0.13952603799440658, 5.329057917329285, 0.01, 0.030053457457912547j, (61.13223189164777,)),
+)
 
 WALL_CHECKS = [("T00", 0), ("T10", 1), ("T10", -1), ("T11", 0), ("T11", 1), ("T11", -1)]
 
 
-def redraw(seed, relation, alpha, chunk, index):
-    """The mode behind a verify_traces.csv row of the default config."""
-    cfg = {**cli._DEFAULTS["verify-traces"], "seed": seed}
-    ri = cfg["relations"].index(relation)
-    rng = np.random.default_rng([seed, ri, alpha + 1, chunk])
-    for _ in range(index + 1):
-        mode = cli._draw_constants(rng, cfg)
-    return mode
-
-
-def test_redrawn_modes_are_the_logged_rows():
-    mode = redraw(*OLD_WORST)
-    c = mode.constants
-    assert (c.rho, c.mu, c.epsilon) == pytest.approx((5.4737061, 0.1510583, 100.0))
-    assert mode.lam == pytest.approx(41.4957749j)
-    assert mode.abs_xi == pytest.approx(0.01263395)
-    assert redraw(*WHOLE_MISS).abs_xi == pytest.approx(0.01048601)
+def logged_mode(row):
+    rho, mu, epsilon, lam, xi = row[2]
+    return derive_mode(FluidConstants(rho, mu, epsilon), lam, xi)
 
 
 @pytest.mark.parametrize("row, old_error", [(OLD_WORST, 1e-8), (WHOLE_MISS, 0.5)])
 def test_trace_window_is_the_decay_sum(row, old_error):
-    _, relation, alpha, _, _ = row
-    mode = redraw(*row)
+    relation, alpha, _ = row
+    mode = logged_mode(row)
     assert verify_trace_relations([mode], alpha, relation).max_rel_error < 1e-10
     # the min-rate window, reached through the multiplier, still misses
     m, r = mode.rate_fast.real, mode.abs_xi
@@ -252,17 +251,13 @@ def test_trace_window_is_the_decay_sum(row, old_error):
 
 
 def test_minus_kernel_weights_divide_by_the_stable_rho_lambda():
-    mode = redraw(*CANCELLING)
-    c = mode.constants
-    assert mode.abs_xi == pytest.approx(61.13223189)
-    assert (c.rho, c.mu, c.epsilon) == pytest.approx((0.1395260, 5.3290579, 0.01))
-    assert mode.lam == pytest.approx(0.03005346j)
-    _, relation, alpha, _, _ = CANCELLING
+    relation, alpha, _ = CANCELLING
+    mode = logged_mode(CANCELLING)
     assert verify_trace_relations([mode], alpha, relation).max_rel_error < 1e-13
 
 
 def test_apply_kernel_window_is_the_decay_sum():
-    mode = redraw(*OLD_WORST)
+    mode = logged_mode(OLD_WORST)
     rhs = dirichlet_extend_mode(mode.xi, 1.0).derivative()
     y = np.array([0.0, 0.01, 1.0, 10.0])
     for kind in ("G_plus", "Kw_minus"):
@@ -273,7 +268,7 @@ def test_apply_kernel_window_is_the_decay_sum():
 def _sweep_modes():
     rng = np.random.default_rng(7)
     drawn = [draw_mode(rng) for _ in range(10)]
-    return drawn + [redraw(*OLD_WORST), redraw(*WHOLE_MISS)]
+    return drawn + [logged_mode(OLD_WORST), logged_mode(WHOLE_MISS)]
 
 
 @pytest.mark.parametrize("relation, alpha", WALL_CHECKS)

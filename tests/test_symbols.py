@@ -75,6 +75,15 @@ def test_mode_without_tangential_component_rejected():
         batch.check_admissible()
 
 
+def test_overflowing_symbols_rejected():
+    # finite parameters whose |xi|^2 or omega^2 = rho lambda_eps + mu |xi|^2
+    # is past the largest double
+    with pytest.raises(InvalidModeError, match=r"\|xi\|\^2 must be finite, got inf at mode 0"):
+        derive_mode(FluidConstants(1.0, 1.0, 1.0), 0.0, (1e300,))
+    with pytest.raises(InvalidModeError, match="omega must be finite"):
+        derive_mode(FluidConstants(10.0, 1.0, 1.0), 1e308j, (1.0,))
+
+
 def test_bc_spec_validated():
     with pytest.raises(UnsupportedCaseError):
         BcSpec(2, 0)
@@ -299,6 +308,7 @@ def test_mode_batch_rejects_mixed_dimensions():
         ("lam", complex(np.inf, 0.0), "lambda must be finite"),
         ("lam", -1.0 + 2.0j, "Re lambda"),
         ("xi", np.nan, "xi"),
+        ("xi", 1e300, r"\|xi\|\^2 must be finite"),
     ],
 )
 def test_mode_batch_admissibility_check(slot, value, named):
