@@ -17,8 +17,9 @@ thread.  Reports embed the fully resolved config.
 Determinism contract: identical config + seed produce byte-identical output
 files, whatever --jobs says.  Random sweeps are split into a fixed number of
 chunks, each drawn from its own seed sequence derived from (seed, chunk),
-and results are written in chunk order.  No timestamps or runtimes are
-written to any artifact.
+and results are written in chunk order; verify-symbols checks stacks of
+consecutive whole chunks (SYMBOL_STACK), which changes no row.  No
+timestamps or runtimes are written to any artifact.
 
 Exit codes: 0 success, 1 tolerance breach (or non-converged run),
 2 configuration error, 3 numerical-budget failure.
@@ -72,6 +73,12 @@ from .symbols import (
 #: number of sweep chunks; each chunk keys its own random stream, so the
 #: modes drawn depend on the seed and the chunk alone.
 N_CHUNKS = 16
+
+#: most modes verify-symbols checks in one stack of whole chunks.  A stack
+#: makes one boundary_symbol/inverse pass per pair, so below this size
+#: numpy's per-call overhead, not arithmetic, is the cost; above it a stack
+#: only holds more memory.
+SYMBOL_STACK = 1024
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,7 +286,9 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 def _map_ordered(fn, tasks, jobs: int) -> list:
     """fn over tasks, in task order, on this thread (jobs is accepted and
-    ignored)."""
+    ignored).  verify-traces maps its sections through it, the one caller
+    left; it stays a named function because perfbench's tracer replaces
+    cli._map_ordered by name to count and time the tasks."""
     return [fn(t) for t in tasks]
 
 
@@ -398,13 +407,37 @@ def _validate_sweep_config(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _symbols_chunk(task) -> list[tuple]:
-    chunk, count, cfg = task
-    batch = _draw_modes(np.random.default_rng([cfg["seed"], chunk]), cfg, count)
+def _symbol_stacks(counts: list[int]) -> list[list[tuple[int, int]]]:
+    """The (chunk, count) of each non-empty chunk, grouped in chunk order
+    into stacks of consecutive whole chunks of at most SYMBOL_STACK modes; a
+    chunk larger than that is a stack alone."""
+    stacks: list[list[tuple[int, int]]] = []
+    size = SYMBOL_STACK
+    for chunk, count in enumerate(counts):
+        if count == 0:
+            continue
+        if size + count > SYMBOL_STACK:
+            stacks.append([])
+            size = 0
+        stacks[-1].append((chunk, count))
+        size += count
+    return stacks
+
+
+def _check_symbol_stack(chunks: list[tuple[int, int]], cfg: dict) -> list[tuple]:
+    """The rows of the (chunk, count) chunks, checked as one stack: each
+    chunk's modes are drawn from the chunk's own stream, in chunk order, and
+    each row is labelled (chunk, index)."""
+    labels = []
+    batches = []
+    for chunk, count in chunks:
+        batches.append(_draw_modes(np.random.default_rng([cfg["seed"], chunk]), cfg, count))
+        labels.extend((chunk, idx) for idx in range(count))
+    batch = ModeBatch.concat(batches)
     eye = np.eye(batch.n)
-    worst_id = np.zeros(count)
-    worst_gap = np.zeros(count)
-    worst_pair = np.full(count, "", dtype=object)
+    worst_id = np.zeros(batch.size)
+    worst_gap = np.zeros(batch.size)
+    worst_pair = np.full(batch.size, "", dtype=object)
     for bc in SYMBOL_BCS:
         b = boundary_symbol(batch, bc)
         closed = closed_form_inverse(batch, bc)
@@ -425,7 +458,7 @@ def _symbols_chunk(task) -> list[tuple]:
         worst_gap,
         worst_pair,
     )
-    return [(chunk, idx, *row) for idx, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    return [(*label, *row) for label, row in zip(labels, zip(*(c.tolist() for c in columns)))]
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -438,13 +471,11 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
     _require_number(cfg, "identity_tol", positive=True)
     _require_number(cfg, "generic_tol", positive=True)
 
-    tasks = [
-        (chunk, count, cfg)
-        for chunk, count in enumerate(_chunk_counts(cfg["n_modes"]))
-        if count > 0
+    rows = [
+        row
+        for chunks in _symbol_stacks(_chunk_counts(cfg["n_modes"]))
+        for row in _check_symbol_stack(chunks, cfg)
     ]
-    chunks = _map_ordered(_symbols_chunk, tasks, jobs)
-    rows = [row for chunk_rows in chunks for row in chunk_rows]
 
     worst_id = max((r[7] for r in rows), default=0.0)
     worst_gap = max((r[8] for r in rows), default=0.0)
@@ -678,7 +709,12 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         if k in contributions:
             raise ConfigError(f"duplicate mode k = {k}")
         h_w = _parse_complex(entry.get("h_w", 1.0), f"{where}.h_w")
-        mode = derive_mode(constants, lam, (_wavenumber(grid, k, f"{where}.k"),))
+        try:
+            mode = derive_mode(constants, lam, (_wavenumber(grid, k, f"{where}.k"),))
+        except InvalidModeError as exc:
+            # a one-mode batch: its "mode 0" is this entry, named instead
+            msg = str(exc).removesuffix(" at mode 0")
+            raise ConfigError(f"'{where}.k' gives an inadmissible mode: {msg}") from exc
         contributions[k] = solve_mode(mode, bc, h_w)
         data.append((k, h_w))
 

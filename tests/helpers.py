@@ -10,11 +10,18 @@ import numpy as np
 
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.energy import ClassificationReport
-from stokesbc.cli import _csv_cell
+from stokesbc.cli import _csv_cell, _draw_modes, _max_abs
 from stokesbc.halfspace import ModeSolution, SampledField
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 from stokesbc.quadrature import gauss_kronrod_15
-from stokesbc.symbols import ALL_BCS, SYMBOL_BCS, BcSpec  # noqa: F401  (re-exported to the tests)
+from stokesbc.symbols import (  # noqa: F401  (ALL_BCS, BcSpec re-exported to the tests)
+    ALL_BCS,
+    SYMBOL_BCS,
+    BcSpec,
+    boundary_symbol,
+    closed_form_inverse,
+    generic_inverse,
+)
 
 STANDARD = FluidConstants(1.0, 1.0, 1.0)
 
@@ -165,6 +172,39 @@ def reference_write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
+def reference_symbols_chunk(task) -> list[tuple]:
+    """The per-chunk pass verify-symbols' stacks of whole chunks replaced:
+    the rows of one (chunk, count, cfg) chunk, its modes drawn from the
+    chunk's own stream and checked on their own."""
+    chunk, count, cfg = task
+    batch = _draw_modes(np.random.default_rng([cfg["seed"], chunk]), cfg, count)
+    eye = np.eye(batch.n)
+    worst_id = np.zeros(count)
+    worst_gap = np.zeros(count)
+    worst_pair = np.full(count, "", dtype=object)
+    for bc in SYMBOL_BCS:
+        b = boundary_symbol(batch, bc)
+        closed = closed_form_inverse(batch, bc)
+        generic = generic_inverse(batch, bc)
+        rid = _max_abs(b @ closed - eye) / (_max_abs(b) * _max_abs(closed))
+        gap = _max_abs(closed - generic) / _max_abs(generic)
+        worse = np.maximum(rid, gap) >= np.maximum(worst_id, worst_gap)
+        worst_pair[worse] = f"({bc.alpha},{bc.beta})"
+        worst_id = np.maximum(worst_id, rid)
+        worst_gap = np.maximum(worst_gap, gap)
+    columns = (
+        batch.abs_xi,
+        batch.lam.imag,
+        batch.epsilon,
+        batch.rho,
+        batch.mu,
+        worst_id,
+        worst_gap,
+        worst_pair,
+    )
+    return [(chunk, idx, *row) for idx, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def _reference_wall_field(x: np.ndarray, harmonics: dict[float, complex]) -> np.ndarray:

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import reference_write_csv
+from helpers import reference_symbols_chunk, reference_write_csv
 
 from stokesbc import QuadratureCfg, cli, verify_trace_relations
 from stokesbc.cli import main
+from stokesbc.symbols import generic_inverse
 
 
 @pytest.fixture()
@@ -354,6 +355,51 @@ def test_verify_symbols_rows_are_redrawn_one_mode_at_a_time(runner, tmp_path):
         assert [repr(v) for v in drawn] == [row[name] for name in columns]
 
 
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        # one stack of 16 chunks
+        ({"n_modes": 40}, 0),
+        # chunks of 131-132 modes: stacks of 7 chunks and a partial last one
+        ({"n_modes": 2100}, 0),
+        # near-singular modes: the generic gap breaches its gate
+        ({"n_modes": 37, "abs_xi_range": [1e-8, 1e8], "lambda_im_range": [0, 1e-6]}, 1),
+    ],
+)
+def test_verify_symbols_rows_are_their_chunks_checked_alone(runner, tmp_path, cfg, code):
+    """verify-symbols checks stacks of whole chunks; every row is, cell for
+    cell by repr, what its chunk returns when checked on its own."""
+    result, out = invoke(runner, "verify-symbols", tmp_path, cfg)
+    assert result.exit_code == code, result.output
+    resolved = json.loads((out / "verify_symbols.json").read_text())["config"]
+    alone = [
+        row
+        for chunk, count in enumerate(cli._chunk_counts(resolved["n_modes"]))
+        for row in reference_symbols_chunk((chunk, count, resolved))
+    ]
+    # the worst_pair cell "(a,b)" holds a comma: compare whole lines
+    written = (out / "verify_symbols.csv").read_text().splitlines()[1:]
+    assert written == [",".join(cli._csv_cell(v) for v in row) for row in alone]
+
+
+@pytest.mark.parametrize("n_modes, calls", [(1000, 6), (10_000, 96)])
+def test_verify_symbols_stacks_chunks_up_to_the_cap(runner, tmp_path, monkeypatch, n_modes, calls):
+    """All 16 chunks of 1,000 modes fit one stack, one generic_inverse call
+    per pair; a 625-mode chunk of 10,000 modes is a stack of its own."""
+    seen = []
+
+    def counted(batch, bc):
+        seen.append(batch.size)
+        return generic_inverse(batch, bc)
+
+    monkeypatch.setattr(cli, "generic_inverse", counted)
+    result, _ = invoke(runner, "verify-symbols", tmp_path, {"n_modes": n_modes})
+    assert result.exit_code == 0, result.output
+    assert len(seen) == calls
+    assert max(seen) <= cli.SYMBOL_STACK
+    assert sum(seen) == 6 * n_modes
+
+
 def test_verify_traces_budget_exhaustion_exit_code(runner, tmp_path):
     cfg = {
         "n_modes": 2,
@@ -400,7 +446,15 @@ def test_solve_overflowing_mode_is_a_config_error(runner, tmp_path):
     # xi = 2 pi 10^300 / x_length is finite, |xi|^2 is not
     result, _ = invoke(runner, "solve", tmp_path, {"modes": [{"k": 10**300}]})
     assert result.exit_code == 2, result.output
+    assert "'modes[0].k'" in result.output
     assert "|xi|^2 must be finite" in result.output
+    # the error names the config entry, not the position in a one-mode batch
+    cfg = {"modes": [{"k": 1}, {"k": 10**300}]}
+    result, _ = invoke(runner, "solve", tmp_path, cfg, name="second")
+    assert result.exit_code == 2, result.output
+    assert "'modes[1].k'" in result.output
+    assert "|xi|^2 must be finite" in result.output
+    assert "mode 0" not in result.output
 
 
 def test_solve_duplicate_mode_rejected(runner, tmp_path):
