@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     InvalidModeError,
     QuadratureBudgetError,
+    SingularModeError,
     StokesbcError,
 )
 from .halfspace import (
@@ -715,7 +716,10 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
             # a one-mode batch: its "mode 0" is this entry, named instead
             msg = str(exc).removesuffix(" at mode 0")
             raise ConfigError(f"'{where}.k' gives an inadmissible mode: {msg}") from exc
-        contributions[k] = solve_mode(mode, bc, h_w)
+        try:
+            contributions[k] = solve_mode(mode, bc, h_w)
+        except SingularModeError as exc:
+            raise ConfigError(f"'{where}.k' gives an unsolvable mode: {exc}") from exc
         data.append((k, h_w))
 
     field = synthesize_field(constants, contributions, grid)

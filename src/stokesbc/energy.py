@@ -68,35 +68,59 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _apply(ops: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real operators applied to complex z (..., n) along its last axis.
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """rfft along x of real samples (..., nx, ny), laid out (..., ny, n_modes).
 
-    z's real and imaginary parts are the two columns of a real (..., n, 2)
-    right-hand side, so a stack of K operators (K, n, n) takes a (K, n)
-    datum in one matmul, and a single (n, n) operator broadcasts over K.
-    Each of the K products is (n, n) x (n, 2), small enough for BLAS to
-    run on the calling thread.
+    Each y node's modes are one row, so a real wall-normal operator acts on
+    every mode at once as one product (_apply).
     """
-    real = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
-    return np.matmul(ops, real).view(np.complex128).reshape(z.shape)
+    return np.fft.rfft(a.swapaxes(-1, -2), axis=-1)
+
+
+def _samples(spec: np.ndarray, nx: int) -> np.ndarray:
+    """The real samples (..., nx, ny) of a _spectrum layout spectrum."""
+    return np.fft.irfft(spec, n=nx, axis=-1).swapaxes(-1, -2)
+
+
+def _apply(op: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real (r, n) op applied to each column of complex z (n, K).
+
+    z's real and imaginary parts are the 2K columns of one real (n, 2K)
+    right-hand side, so all K columns take a single (r, n) x (n, 2K) product.
+    The result is written to out (r, K), whose rows must be contiguous, when
+    it is given.
+    """
+    real = np.ascontiguousarray(z).view(np.float64)
+    if out is None:
+        return (op @ real).view(np.complex128)
+    np.matmul(op, real, out=out.view(np.float64))
+    return out
+
+
+def _gradient_spectrum(grid, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Spectrum of grad[i, j] = d_i u_j from the velocity spectrum (2, ny, n_modes).
+
+    x by i xi (the unpaired Nyquist mode of an even nx has no x-derivative
+    and is dropped), y by the grid's y_derivative, one product per component.
+    The (2, 2, ny, n_modes) result is written to out when it is given.
+    """
+    grad = np.empty((2, *spec.shape), dtype=complex) if out is None else out
+    np.multiply(spec, 1j * grid.wavenumbers(), out=grad[0])
+    if grid.x_count % 2 == 0:
+        grad[0, ..., -1] = 0.0
+    for ddy, comp in zip(grad[1], spec):
+        _apply(grid.y_derivative, comp, out=ddy)
+    return grad
 
 
 def _velocity_gradient(field: SampledField) -> np.ndarray:
     """grad[i, j] = d_i u_j of the sampled velocity, shape (2, 2, nx, ny).
 
     Both parts are taken on the rfft spectrum of the two components, per
-    Fourier mode: x by i xi (the unpaired Nyquist mode of an even nx has no
-    x-derivative and is dropped), y by the grid's y_derivative applied to
-    each (xi, y) row.  One irfft returns both parts to the grid.
+    Fourier mode (_gradient_spectrum); one irfft returns them to the grid.
     """
-    u = field.velocity
-    nx = u.shape[1]
-    spec = np.fft.rfft(u, axis=1)
-    ddx = spec * (1j * field.grid.wavenumbers())[:, None]
-    if nx % 2 == 0:
-        ddx[:, -1] = 0.0
-    ddy = _apply(field.grid.y_derivative, spec)
-    return np.fft.irfft(np.stack((ddx, ddy)), n=nx, axis=2)
+    grid = field.grid
+    return _samples(_gradient_spectrum(grid, _spectrum(field.velocity)), grid.x_count)
 
 
 def kinetic_energy(field: SampledField) -> float:

@@ -33,17 +33,28 @@ The mean mode xi = 0 reduces to what == 0, a one-dimensional Helmholtz
 solve for vbar with vbar(0) = vbar(Y) = 0, and the hydrostatic integration
 pbar' = rho Fbar_y with pbar(Y) = 0.
 
-Every solve above is a fixed real linear map for a given (mode, dt).  The
-stepper builds their explicit inverses once per dt: the three stages'
-matrices of every mode are stacked and inverted by one np.linalg.inv call,
-so a resolvent solve is one rfft, one stacked matmul per stage and one
-irfft, with no Python work per mode (the usual practice for
-Chebyshev-Fourier solvers, Haidvogel & Zang, J. Comput. Phys. 30, 1979).
-Only the current dt's operators are kept.
-The convective datum is built the same way: grad u is one rfft, the
-x-part i xi and the y-part the Chebyshev matrix applied per mode, and one
-irfft.  Both use energy._apply, real (n, n) operators on a complex (K, n)
-stack as K small real products that BLAS keeps on the calling thread.
+Every Dirichlet solve above is (a_k - b D^2) x = r on the interior nodes
+with x = 0 at both ends, and the interior block of D^2 is diagonalized
+once per grid, D^2[1:-1, 1:-1] = Q diag(lam) Q^-1 with a real spectrum
+(the fast-diagonalization method, Haidvogel & Zang, J. Comput. Phys. 30,
+1979).  On the eigenbasis coefficients each solve is a division by
+a_k - b lam, for every mode at once; the datum enters through Q^-1 and
+Q^-1 D, stage 2 reads D q as Q^-1 D Q on stage 1's coefficients, and Q
+returns the three solutions to the nodes.  Each of these is one real
+(n, n) x (n, 2K) product over the K modes.  The Neumann row of what is met
+by a lift: h_k solves (a_k - mu D^2) h = 0 inside with h(0) = 1,
+h(Y) = 0, and what = w + c h with c = -(D w)(0) / (D h)(0) for the
+Dirichlet solution w.  Then what(0) = c, so the lift and the stage-3
+correction are one profile per (mode, dt) scaled by c.  A new dt builds
+only the diagonals, the h_k and the stage-3 solve_mode corrections.
+
+The march keeps each Picard iterate on the velocity spectrum, laid out
+(component, y, mode) by energy._spectrum.  A step transforms u_old once,
+for u_old/dt and the first iterate's gradient; an iteration is then one
+rfft of the convective datum, the resolvent solve, and one irfft of the
+velocity, its pressure and its gradient.  The gradient feeds the next
+iterate's convective term, and the last iterate's gives the step's
+divergence report.
 
 The driver halves dt when Picard stalls or the kinetic energy grows for
 three consecutive accepted steps, and stops with status 'blowup_suspected'
@@ -57,7 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _apply, _velocity_gradient, kinetic_energy
+from .energy import _apply, _gradient_spectrum, _samples, _spectrum
+from .energy import _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
 from .grids import diff_matrix
 from .halfspace import GridSpec, SampledField, solve_mode
@@ -115,20 +127,22 @@ def _ddx_fd(arr: np.ndarray, x_length: float) -> np.ndarray:
     return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * h)
 
 
-def nonlinearity(field: SampledField, method: str = "spectral") -> np.ndarray:
+def nonlinearity(
+    field: SampledField, method: str = "spectral", grad: np.ndarray | None = None
+) -> np.ndarray:
     """-(u . grad) u on the grid, shape (2, nx, ny).
 
     method 'spectral' takes grad u per Fourier mode on the rfft spectrum: x
     by i xi, y by the grid's y_derivative (Chebyshev on a 'cheb' grid)
-    applied to each mode's wall-normal row.  Method 'fd' uses second-order
-    central differences in both directions, in physical space, as an
-    independent cross-check.
+    applied to each mode's wall-normal row; grad reuses the field's
+    _velocity_gradient.  Method 'fd' uses second-order central differences
+    in both directions, in physical space, as an independent cross-check.
     No density factor is applied: the result is the acceleration datum the
     stepper adds to f.
     """
     u = field.velocity
     if method == "spectral":
-        g = _velocity_gradient(field)
+        g = grad if grad is not None else _velocity_gradient(field)
     elif method == "fd":
         stencil = diff_matrix(field.y, 1, npts=min(3, len(field.y)))
         g = np.stack(([_ddx_fd(c, field.grid.x_length) for c in u], u @ stencil.T))
@@ -164,40 +178,6 @@ def stream_function_field(
     return SampledField(grid, constants, u, p)
 
 
-@dataclass(frozen=True)
-class _Operators:
-    """Explicit real solution operators of one dt, stacked over the modes
-    1..last-1 (K of them) on n wall-normal nodes, plus the mean mode's."""
-
-    dt: float
-    pressure: np.ndarray  # (K, n, n) stage 1, Dirichlet xi^2 - D^2
-    velocity_x: np.ndarray  # (K, n, n) stage 2, Dirichlet Helmholtz for vhat
-    velocity_y: np.ndarray  # (K, n, n) stage 2, Neumann-at-0 Helmholtz for what
-    unit: np.ndarray  # (3, K, n) complex stage-3 correction (vhat, what, phat) for datum 1
-    mean_velocity: np.ndarray  # (n, n) Dirichlet Helmholtz for vbar
-    mean_pressure: np.ndarray  # (n, n) hydrostatic integration with pbar(Y) = 0
-
-
-def _dirichlet(mat: np.ndarray) -> np.ndarray:
-    """mat with rows 0 and n-1 replaced by Dirichlet rows, in place."""
-    n = len(mat)
-    mat[[0, n - 1]] = 0.0
-    mat[0, 0] = mat[n - 1, n - 1] = 1.0
-    return mat
-
-
-def _inverse(mats: np.ndarray, zero_datum_rows=(0, -1)) -> np.ndarray:
-    """Explicit inverses of a (..., n, n) stack, in one np.linalg.inv call.
-
-    The boundary rows in zero_datum_rows always carry a zero datum, so
-    their columns are zeroed: each operator ignores those entries of the
-    right-hand side.
-    """
-    inv = np.linalg.inv(mats)
-    inv[..., list(zero_datum_rows)] = 0.0
-    return inv
-
-
 class NsStepper:
     """Backward-Euler/Picard stepper on a (uniform x) x (Chebyshev y) grid."""
 
@@ -216,82 +196,90 @@ class NsStepper:
         self.dy2 = self.dy @ self.dy
         self.n_modes = self.nx // 2 + 1
         self.xi = grid.wavenumbers()
-        # rfft modes 1..last-1 carry the solve; an even nx's Nyquist mode is dropped
-        self._last = self.n_modes - 1 if self.nx % 2 == 0 else self.n_modes
-        self._ops: _Operators | None = None
-
-    # -- cached solution operators -----------------------------------------------
-
-    def _operators(self, dt: float) -> _Operators:
-        """The solution operators for dt, rebuilt when dt changes."""
-        if self._ops is None or self._ops.dt != dt:
-            self._ops = None  # release the old dt's stacks before building
-            self._ops = self._build_operators(dt)
-        return self._ops
-
-    def _build_operators(self, dt: float) -> _Operators:
-        n = self.ny
-        rho, mu = self.constants.rho, self.constants.mu
-        eye = np.eye(n)
-        wall_row = self.dy[0]
-        xi = self.xi[1 : self._last]
-        # stage 1 pressure, stage 2 vhat and what, for every mode
-        stages = np.empty((3, len(xi), n, n))
-        unit = np.empty((3, len(xi), n), dtype=complex)
-        shifted = FluidConstants(rho, mu, 1.0 / dt)
-        for k, x in enumerate(xi):
-            stages[0, k] = _dirichlet(x**2 * eye - self.dy2)
-            stages[1, k] = _dirichlet((rho / dt + mu * x**2) * eye - mu * self.dy2)
-            # (D what)(0) = 0 is the divergence-trace row once vhat(0) = 0
-            stages[2, k] = stages[1, k]
-            stages[2, k, 0] = wall_row
-            corr = solve_mode(derive_mode(shifted, 0.0, (x,)), _NS_BC, 1.0)
-            unit[:2, k] = corr.velocity.evaluate(self.y)
-            unit[2, k] = corr.pressure(self.y)
-        pressure, velocity_x, velocity_y = _inverse(stages)
-
-        mean_velocity = _inverse(_dirichlet((rho / dt) * eye - mu * self.dy2))
+        self._ixi = 1j * self.xi
+        # an even nx's unpaired Nyquist mode is dropped: its factors are 0
+        self._kept = np.arange(self.n_modes) < (self.nx + 1) // 2
+        eigenvalues, self.basis = np.linalg.eig(self.dy2[1:-1, 1:-1])
+        if np.iscomplexobj(eigenvalues):
+            raise InvalidModeError(
+                "the interior Chebyshev D^2 has complex eigenvalues at "
+                f"y_count = {self.ny}; its eigenbasis solves need a real spectrum"
+            )
+        self.eigenvalues = eigenvalues
+        # Q^-1 on the interior rows; Q^-1 D for the datum's D fy, and for the
+        # D q of a q that vanishes at both ends; (D Q c)(0) for what's trace
+        self._to_basis = np.linalg.inv(self.basis)
+        self._to_basis_dy = self._to_basis @ self.dy[1:-1]
+        self._to_basis_dy_basis = self._to_basis_dy[:, 1:-1] @ self.basis
+        self._wall_slope = self.dy[:1, 1:-1] @ self.basis
+        # stage 1: -1 / (xi_k^2 - lam_j), dt-free
+        self._poisson = self._kept / (eigenvalues[:, None] - self.xi**2)
+        # the mean pressure: pbar' = rho Fbar_y on rows 0..n-2, pbar(Y) = 0
         hydrostatic = self.dy.copy()
-        hydrostatic[n - 1] = 0.0
-        hydrostatic[n - 1, n - 1] = 1.0
-        mean_pressure = _inverse(hydrostatic, zero_datum_rows=(-1,))
-        return _Operators(
-            dt, pressure, velocity_x, velocity_y, unit, mean_velocity, mean_pressure
-        )
+        hydrostatic[-1] = 0.0
+        hydrostatic[-1, -1] = 1.0
+        self._integrate = np.linalg.inv(hydrostatic)[:, :-1]
+        self._dt: float | None = None
+
+    # -- the dt-dependent diagonals and lifts -----------------------------------
+
+    def _set_dt(self, dt: float) -> None:
+        """Build the Helmholtz diagonals and the lift profiles of dt, once."""
+        if dt == self._dt:
+            return
+        rho, mu = self.constants.rho, self.constants.mu
+        xi = self.xi
+        # rho / (a_k - mu lam_j) with a_k = rho/dt + mu xi_k^2
+        a = rho / dt + mu * xi**2
+        self._helmholtz = rho * self._kept / (a - mu * self.eigenvalues[:, None])
+        # h_k: (a_k - mu D^2) h = 0 inside, h(0) = 1, h(Y) = 0, so its
+        # interior solves (a_k - mu D^2) h = mu D^2[:, 0] there
+        h = np.zeros((self.ny, self.n_modes))
+        h[0] = 1.0
+        wall_column = self._to_basis @ ((mu / rho) * self.dy2[1:-1, 0])
+        h[1:-1] = self.basis @ (self._helmholtz * wall_column[:, None])
+        self._trace = -1.0 / (self.dy[0] @ h)
+        # per unit c: the lift c h and the stage-3 correction for the datum -c,
+        # as (vhat, what, phat); the mean mode keeps what = 0 and gets neither
+        lift = np.zeros((3, self.ny, self.n_modes), dtype=complex)
+        shifted = FluidConstants(rho, mu, 1.0 / dt)
+        for k in np.flatnonzero(self._kept)[1:]:
+            corr = solve_mode(derive_mode(shifted, 0.0, (xi[k],)), _NS_BC, 1.0)
+            lift[:2, :, k] = -corr.velocity.evaluate(self.y)
+            lift[2, :, k] = -corr.pressure(self.y)
+            lift[1, :, k] += h[:, k]
+        self._lift = lift
+        self._dt = dt
 
     # -- the shifted-resolvent solve --------------------------------------------
 
-    def solve_stokes(self, f_datum: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the dt-shifted resolvent problem with datum f (2, nx, ny).
+    def solve_stokes(self, f_hat: np.ndarray, dt: float) -> np.ndarray:
+        """Solve the dt-shifted resolvent problem for the datum spectrum f_hat.
 
-        Returns (velocity (2, nx, ny), pressure (nx, ny)), both real.
+        f_hat is (2, ny, n_modes), laid out as energy._spectrum makes it.
+        Returns the spectrum (3, ny, n_modes) of (u_x, u_y, p); an even nx's
+        Nyquist mode is zero.  The Dirichlet solves run on the coefficients
+        in the interior eigenbasis, where each is a division.
         """
-        ops = self._operators(dt)
-        rho = self.constants.rho
-        last = self._last
-        spec = np.fft.rfft(f_datum, axis=1)  # (2, n_modes, ny)
-        out = np.zeros((3, self.n_modes, self.ny), dtype=complex)  # vhat, what, phat
-
-        # mean mode: what = 0, 1-d Helmholtz for vbar, hydrostatic pbar
-        out[0, 0] = _apply(ops.mean_velocity, rho * spec[0, 0])
-        out[2, 0] = _apply(ops.mean_pressure, rho * spec[1, 0])
-
-        fx = spec[0, 1:last]
-        fy = spec[1, 1:last]
-        ixi = 1j * self.xi[1:last, None]
-        # stage 1: potential part of the datum
-        q = _apply(ops.pressure, -(ixi * fx + _apply(self.dy, fy)))
-        # stage 2: Dirichlet solve for vhat, Neumann-at-0 solve for what
-        vhat = _apply(ops.velocity_x, rho * (fx - ixi * q))
-        what = _apply(ops.velocity_y, rho * (fy - _apply(self.dy, q)))
-        # stage 3: the unit trace correction scaled by the leftover -what(0)
-        resid = -what[:, :1]
-        out[0, 1:last] = vhat + resid * ops.unit[0]
-        out[1, 1:last] = what + resid * ops.unit[1]
-        out[2, 1:last] = rho * q + resid * ops.unit[2]
-
-        field = np.fft.irfft(out, n=self.nx, axis=1)
-        return field[:2], field[2]
+        self._set_dt(dt)
+        rho, ixi = self.constants.rho, self._ixi
+        fx, fy = f_hat
+        ax = _apply(self._to_basis, fx[1:-1])
+        ay = _apply(self._to_basis, fy[1:-1])
+        # stage 1: (xi^2 - D^2) q = -(i xi fx + D fy), q = 0 at both ends
+        cq = self._poisson * (ixi * ax + _apply(self._to_basis_dy, fy))
+        # stage 2: Dirichlet solves for vhat and what; the mean mode's what is 0
+        cv = self._helmholtz * (ax - ixi * cq)
+        cw = self._helmholtz * (ay - _apply(self._to_basis_dy_basis, cq))
+        cw[:, 0] = 0.0
+        out = np.zeros((3, self.ny, self.n_modes), dtype=complex)
+        for row, coef in zip(out, (cv, cw, rho * cq)):
+            _apply(self.basis, coef, out=row[1:-1])
+        # the lift to (D what)(0) = 0 and stage 3, both scaled by c = what(0)
+        out += (self._trace * _apply(self._wall_slope, cw)[0]) * self._lift
+        # mean mode: hydrostatic pbar
+        out[2, :, :1] = rho * _apply(self._integrate, fy[:-1, :1])
+        return out
 
     # -- time stepping -----------------------------------------------------------
 
@@ -311,28 +299,32 @@ class NsStepper:
         """
         if dt <= 0.0 or not math.isfinite(dt):
             raise ValueError(f"dt must be positive, got {dt}")
-        u_old = state.field.velocity
         t_next = state.time + dt
-        f_ext = forcing(t_next) if forcing is not None else 0.0
+        field = state.field
+        u_hat = _spectrum(field.velocity)
+        grad = _samples(_gradient_spectrum(self.grid, u_hat), self.nx)
+        base = u_hat / dt
+        if forcing is not None:
+            base = base + _spectrum(forcing(t_next))
 
-        guess = state.field
+        # spectra of (u_x, u_y, p) and of grad u, for one irfft per iterate
+        planes = np.empty((7, self.ny, self.n_modes), dtype=complex)
         gaps: list[float] = []
         converged = False
-        u_new, p_new = u_old, state.field.pressure
         for _ in range(picard_max):
-            f_datum = u_old / dt + f_ext + nonlinearity(guess)
-            u_new, p_new = self.solve_stokes(f_datum, dt)
-            gap = float(np.max(np.abs(u_new - guess.velocity)))
+            f_hat = base + _spectrum(nonlinearity(field, grad=grad))
+            planes[:3] = self.solve_stokes(f_hat, dt)
+            _gradient_spectrum(self.grid, planes[:2], out=planes[3:].reshape(2, 2, self.ny, -1))
+            values = _samples(planes, self.nx)
+            gap = float(np.max(np.abs(values[:2] - field.velocity)))
             gaps.append(gap)
-            guess = SampledField(self.grid, self.constants, u_new, p_new)
+            field = SampledField(self.grid, self.constants, values[:2], values[2])
+            grad = values[3:].reshape(2, 2, self.nx, self.ny)
             if gap < picard_tol:
                 converged = True
                 break
 
-        g = _velocity_gradient(guess)
-        div = g[0, 0] + g[1, 1]
-        new_field = guess
-        new_state = NsState(time=t_next, field=new_field)
+        div = grad[0, 0] + grad[1, 1]
         report = IterationReport(
             time=t_next,
             dt=dt,
@@ -340,9 +332,11 @@ class NsStepper:
             gaps=tuple(gaps),
             converged=converged,
             max_divergence=float(np.max(np.abs(div))),
-            energy=kinetic_energy(new_field),
+            energy=kinetic_energy(field),
         )
-        return new_state, report
+        # the state keeps copies, not views that hold the gradient planes too
+        u, p = field.velocity.copy(), field.pressure.copy()
+        return NsState(t_next, SampledField(self.grid, self.constants, u, p)), report
 
 
 def run_simulation(

@@ -696,8 +696,17 @@ def solve_coefficients(
 ) -> tuple[np.ndarray, complex]:
     """Solve B [z_v; z_w] = [0; h_w] by the closed-form inverse.
 
-    Returns (z_v, z_w); z_v has shape (n-1,).
+    Returns (z_v, z_w); z_v has shape (n-1,).  Raises SingularModeError when
+    cond(B), read off the inverse as closed_form_inverse's warning reads it,
+    is not finite: the solve then carries no digits.
     """
+    binv = closed_form_inverse(mode, bc)
+    cond = _condition_numbers(binv[None])[0]
+    if not np.isfinite(cond):
+        raise SingularModeError(
+            f"boundary symbol numerically singular (cond = {cond:.3e}) at "
+            f"(alpha, beta) = ({bc.alpha}, {bc.beta}), |xi| = {mode.abs_xi:.3e}"
+        )
     # the right-hand side is h_w e_n, so z is h_w times B^-1's last column
-    z = closed_form_inverse(mode, bc)[:, -1] * h_w
+    z = binv[:, -1] * h_w
     return z[:-1], complex(z[-1])

@@ -457,6 +457,22 @@ def test_solve_overflowing_mode_is_a_config_error(runner, tmp_path):
     assert "mode 0" not in result.output
 
 
+def test_solve_mode_with_a_singular_symbol_is_a_config_error(runner, tmp_path):
+    # k = 10^20: |xi|^2 is finite, but the no-slip symbol's condition number
+    # read off its inverse is not, and the solve would carry no digits
+    cfg = {"modes": [{"k": 1}, {"k": 10**20}]}
+    with pytest.warns(RuntimeWarning, match="cond = inf"):
+        result, out = invoke(runner, "solve", tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert "'modes[1].k' gives an unsolvable mode" in result.output
+    assert "cond = inf" in result.output
+    assert not (out / "solve_report.json").exists()
+    # a poorly conditioned but finite symbol still solves, with its warning
+    with pytest.warns(RuntimeWarning, match="poorly conditioned"):
+        result, _ = invoke(runner, "solve", tmp_path, {"modes": [{"k": 10**7}]}, name="finite")
+    assert result.exit_code == 0, result.output
+
+
 def test_solve_duplicate_mode_rejected(runner, tmp_path):
     cfg = {"modes": [{"k": 1, "h_w": 1.0}, {"k": 1, "h_w": {"im": 1.0}}]}
     result, _ = invoke(runner, "solve", tmp_path, cfg)

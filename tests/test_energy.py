@@ -283,14 +283,20 @@ def test_velocity_gradient_y_part_is_the_plain_product(nx, grid_kind):
 
 
 def test_apply_is_the_row_by_row_product():
+    # row i of the result is op's row i times the complex columns of z
     rng = np.random.default_rng(3)
-    k, n = 4, 6
-    ops = rng.standard_normal((k, n, n))
-    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    expected = np.stack([ops[i] @ z[i] for i in range(k)])
-    assert np.allclose(_apply(ops, z), expected, rtol=0.0, atol=1e-13)
-    single = ops[0]
-    assert np.allclose(_apply(single, z), z @ single.T, rtol=0.0, atol=1e-13)
+    r, n, k = 5, 6, 4
+    op = rng.standard_normal((r, n))
+    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    expected = np.stack([op[i] @ z for i in range(r)])
+    assert np.allclose(_apply(op, z), expected, rtol=0.0, atol=1e-13)
+    # a column slice is made contiguous first
+    assert np.allclose(_apply(op, z[:, ::2]), expected[:, ::2], rtol=0.0, atol=1e-13)
+    # out receives the same rows
+    rows = np.zeros((r + 2, k), dtype=complex)
+    _apply(op, z, out=rows[1:-1])
+    assert np.allclose(rows[1:-1], expected, rtol=0.0, atol=1e-13)
+    assert not rows[[0, -1]].any()
 
 
 def _rows(field, bc, p_exponent, **data):

@@ -22,6 +22,7 @@ from stokesbc import (
     solve_mode,
     stream_function_field,
 )
+from stokesbc.energy import _samples, _spectrum, _velocity_gradient
 from stokesbc.navier_stokes import NsState
 
 CONSTANTS = FluidConstants(1.0, 1.0, 1.0)
@@ -240,49 +241,88 @@ def reference_solve_stokes(stepper, f_datum, dt):
 
 @pytest.mark.parametrize("nx", [16, 15])
 def test_batched_resolvent_matches_mode_by_mode_reference(nx):
-    grid = cheb_grid(nx=nx)
-    stepper = NsStepper(CONSTANTS, grid)
-    f_datum = np.random.default_rng(2024).standard_normal((2, nx, grid.y_count))
-    # the second dt must rebuild the cached operators
-    for dt in (0.02, 0.01):
-        u, p = stepper.solve_stokes(f_datum, dt)
-        u_ref, p_ref, worst_trace = reference_solve_stokes(stepper, f_datum, dt)
-        # stage 3 carries a real correction, not a vanishing one
-        assert worst_trace > 1e-6 * np.max(np.abs(f_datum))
-        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
-        assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+    for ny in (33, 65, 129):
+        grid = cheb_grid(nx=nx, ny=ny)
+        stepper = NsStepper(CONSTANTS, grid)
+        f_datum = np.random.default_rng(2024).standard_normal((2, nx, ny))
+        # the second dt must rebuild the diagonals and lifts
+        for dt in (0.02, 0.01):
+            sol = _samples(stepper.solve_stokes(_spectrum(f_datum), dt), nx)
+            u, p = sol[:2], sol[2]
+            u_ref, p_ref, worst_trace = reference_solve_stokes(stepper, f_datum, dt)
+            # stage 3 carries a real correction, not a vanishing one
+            assert worst_trace > 1e-6 * np.max(np.abs(f_datum))
+            assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+            assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
 
 
-def test_operators_built_once_per_mode_and_dt(monkeypatch):
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_eigenbasis_built_once_per_grid_and_lifts_once_per_dt(monkeypatch):
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    inverted = []
-    original_inverse = ns._inverse
-
-    def recorded_inverse(mats, *args, **kwargs):
-        inverted.append(mats.shape)
-        return original_inverse(mats, *args, **kwargs)
-
-    monkeypatch.setattr(ns, "solve_mode", counted("solve_mode", ns.solve_mode))
-    monkeypatch.setattr(ns, "_inverse", recorded_inverse)
+    monkeypatch.setattr(ns, "solve_mode", _counted(calls, "solve_mode", ns.solve_mode))
+    monkeypatch.setattr(np.linalg, "eig", _counted(calls, "eig", np.linalg.eig))
     grid = cheb_grid(nx=16, ny=49)
     stepper = NsStepper(CONSTANTS, grid)
+    assert calls == {"eig": 1}
     result = run_simulation(stepper, small_field(grid), dt=0.02, n_steps=3)
     assert result.status == "completed"
     assert result.picard_iterations > 3
-    n_modes = 7  # modes 1..7; the mean mode has its own two operators
-    # one batched inverse for the three stages of every mode, two for the mean mode
-    per_dt = [(3, n_modes, 49, 49), (49, 49), (49, 49)]
-    assert calls["solve_mode"] == n_modes
-    assert inverted == per_dt
-    # a new dt rebuilds every operator once more
+    n_modes = 7  # stage 3 corrects modes 1..7; the mean mode needs none
+    assert calls == {"eig": 1, "solve_mode": n_modes}
+    # a new dt rebuilds the lifts, not the eigenbasis
     stepper.step(result.states[-1], 0.01)
-    assert calls["solve_mode"] == 2 * n_modes
-    assert inverted == 2 * per_dt
+    assert calls == {"eig": 1, "solve_mode": 2 * n_modes}
+
+
+@pytest.mark.parametrize("ny", [3, 4, 5, 9, 17, 33, 64, 65, 129, 257, 513])
+def test_interior_second_derivative_has_a_well_conditioned_real_eigenbasis(ny):
+    stepper = NsStepper(CONSTANTS, cheb_grid(nx=4, ny=ny))
+    assert stepper.eigenvalues.dtype == np.float64
+    assert np.all(stepper.eigenvalues < 0.0)
+    assert np.linalg.cond(stepper.basis) < 10.0
+
+
+def test_complex_interior_spectrum_is_refused(monkeypatch):
+    # a complex pair, as a non-normal D^2 could give on some grid
+    pair = np.linalg.eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.iscomplexobj(pair.eigenvalues)
+    monkeypatch.setattr(ns.np.linalg, "eig", lambda mat: pair)
+    with pytest.raises(InvalidModeError, match="y_count = 33"):
+        NsStepper(CONSTANTS, cheb_grid(nx=8, ny=33))
+
+
+@pytest.mark.parametrize("ny", [2, 3])
+def test_smallest_wall_normal_grids_complete(ny):
+    # y_count 2 leaves no interior node: every solve is its boundary rows
+    grid = GridSpec(2.0 * np.pi, 8, 4.0, ny, y_kind="cheb")
+    result = run_simulation(NsStepper(CONSTANTS, grid), small_field(grid), dt=0.02, n_steps=3)
+    assert result.status == "completed"
+    assert all(np.isfinite(r.max_divergence) for r in result.reports)
+
+
+@pytest.mark.parametrize("ny, y_max", [(65, 12.0), (129, 16.0)])
+def test_reported_divergence_is_the_returned_fields(ny, y_max):
+    # step reports the divergence from the last Picard iterate's gradient;
+    # it must be that of the field it returns.  The divergence is the
+    # remainder of d_x u + d_y w, so rounding moves it by a few ulps of the
+    # gradient scale: on 16 x 129 that is up to 6e-12 of the divergence.
+    grid = cheb_grid(ny=ny, y_max=y_max)
+    stepper = NsStepper(CONSTANTS, grid)
+    state = NsState(0.0, small_field(grid, amplitude=0.25))
+    for _ in range(3):
+        new, report = stepper.step(state, 0.02)
+        grad = _velocity_gradient(new.field)
+        div = float(np.max(np.abs(grad[0, 0] + grad[1, 1])))
+        tol = 1e-15 * float(np.max(np.abs(grad)))
+        assert abs(report.max_divergence - div) <= tol
+        # the iterate before the last reports a divergence the check tells apart
+        _, early = stepper.step(state, 0.02, picard_max=report.n_iterations - 1)
+        assert abs(early.max_divergence - div) > 10.0 * tol
+        state = new
