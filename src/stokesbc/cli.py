@@ -12,10 +12,15 @@ Configuration is JSON, strictly validated: unknown keys are rejected, and
 every verb documents its defaults in _DEFAULTS below.  --seed overrides the
 config seed.  --jobs (or the STOKESBC_JOBS environment variable) is
 validated (an integer >= 1) but has no effect: every campaign runs on one
-thread.  Reports embed the fully resolved config.
+thread.  That includes BLAS: this module sets OPENBLAS_NUM_THREADS to 1,
+unless the environment already sets it, before it imports numpy.  The
+library's own ``import stokesbc`` loads no numpy and changes no thread
+count.  Reports embed the fully resolved config.
 
 Determinism contract: identical config + seed produce byte-identical output
-files, whatever --jobs says.  Random sweeps are split into a fixed number of
+files, whatever --jobs says.  A user-set OPENBLAS_NUM_THREADS is kept, and
+another thread count can move run-ns artifacts in the last bits: the bytes
+hold for a fixed thread count.  Random sweeps are split into a fixed number of
 chunks, each drawn from its own seed sequence derived from (seed, chunk),
 and results are written in chunk order; verify-symbols checks stacks of
 consecutive whole chunks (SYMBOL_STACK), which changes no row.  No
@@ -31,23 +36,29 @@ import json
 import math
 import os
 
-import click
-import numpy as np
+# OpenBLAS reads this once, when numpy loads it.  Every product in a campaign
+# is small (run-ns's are as wide as its y grid), so a second BLAS thread adds
+# CPU time, and a stall of up to a second on the first call in a fresh
+# process, but no speed
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import click  # noqa: E402
+import numpy as np  # noqa: E402
 
 # numpy loads these on first use; load them here, so that their import
 # counts as start-up rather than as the first campaign's work
-import numpy.fft  # noqa: F401
-import numpy.random  # noqa: F401
+import numpy.fft  # noqa: E402, F401
+import numpy.random  # noqa: E402, F401
 
-from .energy import classify_bc
-from .errors import (
+from .energy import classify_bc  # noqa: E402
+from .errors import (  # noqa: E402
     ConfigError,
     InvalidModeError,
     QuadratureBudgetError,
     SingularModeError,
     StokesbcError,
 )
-from .halfspace import (
+from .halfspace import (  # noqa: E402
     GridSpec,
     canonical_json,
     field_manifest,
@@ -56,10 +67,10 @@ from .halfspace import (
     write_field_csv,
     write_manifest,
 )
-from .navier_stokes import NsStepper, run_simulation, stream_function_field
-from .parabolic import _RELATION_ALPHAS, verify_trace_relations
-from .quadrature import QuadratureCfg
-from .symbols import (
+from .navier_stokes import NsStepper, run_simulation, stream_function_field  # noqa: E402
+from .parabolic import _RELATION_ALPHAS, verify_trace_relations  # noqa: E402
+from .quadrature import QuadratureCfg  # noqa: E402
+from .symbols import (  # noqa: E402
     ALL_BCS,
     SYMBOL_BCS,
     BcSpec,

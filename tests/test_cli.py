@@ -54,14 +54,67 @@ def test_help_lists_verbs(runner):
         assert verb in result.output
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def run_probe(code, blas_threads=None):
+    """stdout of `code` run in a fresh interpreter, with OPENBLAS_NUM_THREADS
+    set to `blas_threads` (unset for None: importing stokesbc.cli in this
+    process has set it)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    probe = "import sys, stokesbc.cli; print('scipy' in sys.modules)"
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert run_probe("import sys, stokesbc.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_package_import_loads_no_numpy_and_keeps_blas_threads():
+    probe = (
+        "import os, sys, stokesbc; "
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert run_probe(probe) == "False None"
+
+
+@pytest.mark.parametrize(("preset", "expected"), [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_blas_to_one_thread(preset, expected):
+    probe = "import os, stokesbc.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_probe(probe, blas_threads=preset) == expected
+
+
+#: the loaded OpenBLAS's own thread counts, found as perfbench's environment
+#: probe finds them
+_OPENBLAS_THREADS_PROBE = r"""
+import ctypes, json, os
+import stokesbc.cli
+threads = {}
+with open("/proc/self/maps") as maps:
+    paths = sorted({ln.split()[-1] for ln in maps if "openblas" in ln.lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            fn = getattr(lib, sym)
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            threads[os.path.basename(path)] = fn()
+            break
+print(json.dumps(threads))
+"""
+
+
+def test_cli_import_runs_openblas_on_one_thread():
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+    threads = json.loads(run_probe(_OPENBLAS_THREADS_PROBE))
+    if not threads:
+        pytest.skip("numpy loaded no library exporting an OpenBLAS *_get_num_threads* symbol")
+    assert set(threads.values()) == {1}
 
 
 def test_out_flag_is_required(runner):
