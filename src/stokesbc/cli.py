@@ -17,6 +17,15 @@ unless the environment already sets it, before it imports numpy.  The
 library's own ``import stokesbc`` loads no numpy and changes no thread
 count.  Reports embed the fully resolved config.
 
+Start-up: importing this module loads numpy, numpy.fft, argparse and every
+stokesbc submodule a verb runs (perfbench's tracer looks them up in
+sys.modules).  It does not load numpy.random, which brings in secrets and
+hashlib and with them OpenSSL's libcrypto: about 12 ms and 6 MB of resident
+memory (4 MB of it libcrypto) on a 2-vCPU x86-64 host, none of which solve
+or run-ns uses.  The verbs that draw random numbers (verify-symbols,
+verify-traces, energy-audit) import it before they read their config, so
+that it stays start-up work rather than part of the campaign.
+
 Determinism contract: identical config + seed produce byte-identical output
 files, whatever --jobs says.  A user-set OPENBLAS_NUM_THREADS is kept, and
 another thread count can move run-ns artifacts in the last bits: the bytes
@@ -27,14 +36,17 @@ consecutive whole chunks (SYMBOL_STACK), which changes no row.  No
 timestamps or runtimes are written to any artifact.
 
 Exit codes: 0 success, 1 tolerance breach (or non-converged run),
-2 configuration error, 3 numerical-budget failure.
+2 configuration or usage error, 3 numerical-budget failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import sys
+from typing import NoReturn
 
 # OpenBLAS reads this once, when numpy loads it.  Every product in a campaign
 # is small (run-ns's are as wide as its y grid), so a second BLAS thread adds
@@ -42,14 +54,13 @@ import os
 # process, but no speed
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import click  # noqa: E402
 import numpy as np  # noqa: E402
 
-# numpy loads these on first use; load them here, so that their import
+# numpy loads numpy.fft on first use; load it here, so that its import
 # counts as start-up rather than as the first campaign's work
 import numpy.fft  # noqa: E402, F401
-import numpy.random  # noqa: E402, F401
 
+from . import __version__  # noqa: E402
 from .energy import classify_bc  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
@@ -521,7 +532,7 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
         "passed": passed,
     }
     _write_report(out_dir, "verify_symbols.json", report)
-    click.echo(
+    print(
         f"verify-symbols: {len(rows)} modes x {len(SYMBOL_BCS)} pairs, "
         f"worst identity residual {worst_id:.3e} (tol {cfg['identity_tol']:.1e}), "
         f"worst generic gap {worst_gap:.3e} (tol {cfg['generic_tol']:.1e}): "
@@ -627,7 +638,7 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     }
     _write_report(out_dir, "verify_traces.json", report)
     for s in sections:
-        click.echo(
+        print(
             f"verify-traces: {s['relation']} alpha={s['alpha']:+d} over "
             f"{s['n_modes']} modes, max rel error {s['max_rel_error']:.3e} "
             f"(tol {cfg['rel_tol']:.1e}): {'PASS' if s['passed'] else 'FAIL'}"
@@ -773,7 +784,7 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         "passed": passed,
     }
     _write_report(out_dir, "solve_report.json", report)
-    click.echo(
+    print(
         f"solve: {len(mode_rows)} mode(s) on {grid.x_count}x{grid.y_count} grid, "
         f"max residual {worst:.3e}: {'PASS' if passed else 'FAIL'}"
     )
@@ -847,7 +858,7 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
     }
     _write_report(out_dir, "energy_audit.json", report)
     for s in section:
-        click.echo(
+        print(
             f"energy-audit: (alpha,beta)=({s['alpha']:+d},{s['beta']:+d}) "
             f"predicted {s['predicted_class']} empirical {s['empirical_class']} "
             f"[form {s['adapted_form']}]: {'PASS' if s['passed'] else 'FAIL'}"
@@ -948,7 +959,7 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
         "passed": completed,
     }
     _write_report(out_dir, "run_ns.json", report)
-    click.echo(
+    print(
         f"run-ns: {len(result.reports)} step(s), status {result.status}, "
         f"energy {result.energies[0]:.6e} -> {result.energies[-1]:.6e}: "
         f"{'PASS' if completed else 'FAIL'}"
@@ -957,7 +968,7 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# argument parsing
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
@@ -968,90 +979,114 @@ _COMMANDS = {
     "run-ns": _cmd_run_ns,
 }
 
+_HELP = {
+    "verify-symbols": (
+        "Sweep random admissible modes and compare the closed-form boundary-symbol "
+        "inverse against the identity and against an extended-precision LU inverse "
+        "of the symbol rebuilt from each mode's parameters."
+    ),
+    "verify-traces": (
+        "Verify the closed trace multipliers against adaptive quadrature of the "
+        "reflection kernels over random admissible modes."
+    ),
+    "solve": (
+        "Solve the listed lattice modes for a boundary datum and synthesize the "
+        "periodic-strip velocity/pressure field (CSV + manifest)."
+    ),
+    "energy-audit": (
+        "Classify each boundary condition by the sign structure of its wall "
+        "boundary power on random constraint-surface trial fields."
+    ),
+    "run-ns": (
+        "Run the nonlinear backward-Euler/Picard time march on a periodic strip "
+        "and emit per-step energy diagnostics plus the final field."
+    ),
+}
 
-def _global_options(fn):
-    fn = click.option(
-        "--config",
-        "config_path",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="JSON config file merged over the verb's defaults.",
-    )(fn)
-    fn = click.option("--seed", type=int, default=None, help="Override the config seed.")(fn)
-    fn = click.option(
-        "--jobs",
-        type=int,
-        default=None,
-        help="Accepted for compatibility, no effect (default: STOKESBC_JOBS or 1).",
-    )(fn)
-    fn = click.option(
-        "--out",
-        "out_dir",
-        type=click.Path(file_okay=False),
-        required=True,
-        help="Output directory for reports and data files.",
-    )(fn)
-    return fn
+#: the verbs that draw random numbers; see the module docstring
+_DRAWING_VERBS = ("verify-symbols", "verify-traces", "energy-audit")
 
 
-def _run(command: str, config_path, seed, jobs, out_dir) -> None:
-    ctx = click.get_current_context()
+def _config_file(path: str) -> str:
+    if not os.path.isfile(path):
+        what = "is a directory" if os.path.isdir(path) else "does not exist"
+        raise argparse.ArgumentTypeError(f"file {path!r} {what}")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
+
+
+def _out_dir(path: str) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "stokesbc",
+        description="Halfspace Stokes boundary-symbol toolbox.",
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"stokesbc, version {__version__}"
+    )
+    verbs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, help_text in _HELP.items():
+        verb = verbs.add_parser(
+            name, help=help_text, description=help_text, allow_abbrev=False
+        )
+        verb.add_argument(
+            "--config",
+            dest="config_path",
+            type=_config_file,
+            metavar="FILE",
+            help="JSON config file merged over the verb's defaults.",
+        )
+        verb.add_argument("--seed", type=int, help="Override the config seed.")
+        verb.add_argument(
+            "--jobs",
+            type=int,
+            help="Accepted for compatibility, no effect (default: STOKESBC_JOBS or 1).",
+        )
+        verb.add_argument(
+            "--out",
+            dest="out_dir",
+            type=_out_dir,
+            required=True,
+            metavar="DIRECTORY",
+            help="Output directory for reports and data files.",
+        )
+    return parser
+
+
+def _run(command: str, config_path, seed, jobs, out_dir) -> int:
+    """Run the verb command; its exit code."""
+    if command in _DRAWING_VERBS:
+        # before the config is read, so that the import counts as start-up
+        import numpy.random  # noqa: F401
     try:
         cfg = _load_config(command, config_path, seed)
         n_jobs = _resolve_jobs(jobs)
         os.makedirs(out_dir, exist_ok=True)
-        code = _COMMANDS[command](cfg, n_jobs, out_dir)
+        return _COMMANDS[command](cfg, n_jobs, out_dir)
     except (ConfigError, InvalidModeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        ctx.exit(2)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except QuadratureBudgetError as exc:
-        click.echo(f"numerical budget exhausted: {exc}", err=True)
-        ctx.exit(3)
+        print(f"numerical budget exhausted: {exc}", file=sys.stderr)
+        return 3
     except StokesbcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(1)
-    ctx.exit(code)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
-@click.group()
-@click.version_option(package_name="stokesbc")
-def main() -> None:
-    """Halfspace Stokes boundary-symbol toolbox."""
-
-
-def _register(name: str, help_text: str) -> None:
-    @main.command(name=name, help=help_text)
-    @_global_options
-    def _cmd(config_path, seed, jobs, out_dir, _name=name):
-        _run(_name, config_path, seed, jobs, out_dir)
-
-
-_register(
-    "verify-symbols",
-    "Sweep random admissible modes and compare the closed-form boundary-symbol "
-    "inverse against the identity and against an extended-precision LU inverse "
-    "of the symbol rebuilt from each mode's parameters.",
-)
-_register(
-    "verify-traces",
-    "Verify the closed trace multipliers against adaptive quadrature of the "
-    "reflection kernels over random admissible modes.",
-)
-_register(
-    "solve",
-    "Solve the listed lattice modes for a boundary datum and synthesize the "
-    "periodic-strip velocity/pressure field (CSV + manifest).",
-)
-_register(
-    "energy-audit",
-    "Classify each boundary condition by the sign structure of its wall "
-    "boundary power on random constraint-surface trial fields.",
-)
-_register(
-    "run-ns",
-    "Run the nonlinear backward-Euler/Picard time march on a periodic strip "
-    "and emit per-step energy diagnostics plus the final field.",
-)
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """The ``stokesbc`` console script: run the verb that args (default
+    sys.argv[1:]) name and raise SystemExit with its exit code; a usage
+    error exits 2."""
+    ns = _parser(prog_name).parse_args(args)
+    sys.exit(_run(ns.command, ns.config_path, ns.seed, ns.jobs, ns.out_dir))
 
 
 if __name__ == "__main__":

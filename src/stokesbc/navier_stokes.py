@@ -414,7 +414,7 @@ def run_simulation(
 
 
 def __getattr__(name: str):
-    # only perfbench/spans.py asks for these; ROADMAP item 4's benchmark change deletes this
+    # only perfbench/spans.py asks for these; ROADMAP item 1's benchmark change deletes this
     if name in ("lu_factor", "lu_solve"):
         import scipy.linalg
 

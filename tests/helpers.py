@@ -1,12 +1,17 @@
-"""Shared random draws and manufactured solutions used across the suite."""
+"""Shared random draws, manufactured solutions and a CLI runner used across
+the suite."""
 
 from __future__ import annotations
 
 import heapq
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.energy import ClassificationReport
@@ -24,6 +29,24 @@ from stokesbc.symbols import (  # noqa: F401  (ALL_BCS, BcSpec re-exported to th
 )
 
 STANDARD = FluidConstants(1.0, 1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    output: str
+
+
+class CliRunner:
+    """Runs a console-script entry point in this process."""
+
+    def invoke(self, main, args) -> CliResult:
+        """main(args), which must raise SystemExit: its exit code, and what
+        it wrote to stdout and stderr together."""
+        output = io.StringIO()
+        with redirect_stdout(output), redirect_stderr(output), pytest.raises(SystemExit) as done:
+            main(args)
+        return CliResult(done.value.code or 0, output.getvalue())
 
 
 def standard_mode(abs_xi=1.0, lam=0.0):

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from helpers import (
     ALL_BCS,
+    CliRunner,
     complex_amp,
     draw_mode,
     manufacture_solution,

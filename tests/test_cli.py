@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from helpers import reference_symbols_chunk, reference_write_csv
+from helpers import CliRunner, reference_symbols_chunk, reference_write_csv
 
+import stokesbc
 from stokesbc import QuadratureCfg, cli, verify_trace_relations
 from stokesbc.cli import main
 from stokesbc.symbols import generic_inverse
@@ -54,23 +54,96 @@ def test_help_lists_verbs(runner):
         assert verb in result.output
 
 
-def run_probe(code, blas_threads=None):
-    """stdout of `code` run in a fresh interpreter, with OPENBLAS_NUM_THREADS
-    set to `blas_threads` (unset for None: importing stokesbc.cli in this
-    process has set it)."""
+def probe_env(blas_threads=None):
+    """The environment of a fresh interpreter that runs stokesbc from src/,
+    with OPENBLAS_NUM_THREADS set to `blas_threads` (unset for None:
+    importing stokesbc.cli in this process has set it)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def run_probe(code, blas_threads=None):
+    """stdout of `code` run in a fresh interpreter with probe_env(blas_threads)."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=probe_env(blas_threads),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return done.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    assert run_probe("import sys, stokesbc.cli; print('scipy' in sys.modules)") == "False"
+def test_cli_import_leaves_unused_modules_unloaded():
+    # numpy.random brings in OpenSSL's libcrypto through hashlib (_hashlib)
+    probe = (
+        "import sys, stokesbc.cli; "
+        "print([m for m in ('scipy', 'click', 'numpy.random', '_hashlib') if m in sys.modules])"
+    )
+    assert run_probe(probe) == "[]"
+
+
+#: the CI smoke config of solve: four modes under the (1, 1) pair
+_SMOKE_SOLVE = {
+    "modes": [
+        {"k": 1, "h_w": 1.0},
+        {"k": 2, "h_w": {"re": 0.5, "im": -0.25}},
+        {"k": 3, "h_w": {"re": -0.3, "im": 0.1}},
+        {"k": 4, "h_w": 0.2},
+    ],
+    "bc": {"alpha": 1, "beta": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("solve", _SMOKE_SOLVE),
+        ("run-ns", {"grid": {"x_count": 8, "y_count": 33}, "n_steps": 3}),
+    ],
+)
+def test_campaigns_that_draw_nothing_never_load_numpy_random(tmp_path, verb, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    args = [verb, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    probe = (
+        "import sys\n"
+        "from stokesbc.cli import main\n"
+        "try:\n"
+        f"    main({args!r})\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy.random' in sys.modules)\n"
+    )
+    assert run_probe(probe).splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("verb", ["verify-symbols", "verify-traces", "energy-audit"])
+def test_drawing_verbs_load_numpy_random_before_their_config(tmp_path, verb):
+    # the probe stops each verb as its config is read: no campaign runs
+    probe = (
+        "import sys\n"
+        "from stokesbc import cli\n"
+        "def load_config(*args):\n"
+        "    print('numpy.random' in sys.modules)\n"
+        "    raise SystemExit(0)\n"
+        "cli._load_config = load_config\n"
+        f"cli.main([{verb!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+    )
+    assert run_probe(probe) == "True"
+
+
+def test_version_runs_from_the_source_tree():
+    done = subprocess.run(
+        [sys.executable, "-m", "stokesbc.cli", "--version"],
+        env=probe_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, f"stokesbc, version {stokesbc.__version__}\n")
 
 
 def test_package_import_loads_no_numpy_and_keeps_blas_threads():
@@ -129,6 +202,26 @@ def test_missing_config_file(runner, tmp_path):
         ["verify-symbols", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["bogus", "--out", "{tmp}/o"],
+        ["solve", "--seed", "x", "--out", "{tmp}/o"],
+        ["solve", "--jobs", "1.5", "--out", "{tmp}/o"],
+        ["solve", "--conf", "c.json", "--out", "{tmp}/o"],
+        ["solve", "--config", "{tmp}", "--out", "{tmp}/o"],
+        ["solve", "--out", "{tmp}/file"],
+    ],
+)
+def test_usage_errors_exit_2(runner, tmp_path, args):
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "usage:" in result.output.lower()
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_json_reports_position(runner, tmp_path):

@@ -326,3 +326,52 @@ def test_reported_divergence_is_the_returned_fields(ny, y_max):
         _, early = stepper.step(state, 0.02, picard_max=report.n_iterations - 1)
         assert abs(early.max_divergence - div) > 10.0 * tol
         state = new
+
+
+def test_march_converges_at_first_order_to_a_manufactured_solution():
+    # u = e^{-t} grad^perp psi with psi = A sin x g(y), g = y^2 e^{-y}, and
+    # p = 0, so that u = A e^{-t} (sin x g', -cos x g).  With rho = mu = 1
+    # the forcing f = d_t u + (u . grad) u - Lap u is, in closed form,
+    #   f_x = -s sin x g''' + s^2 sin x cos x (g'^2 - g g''),
+    #   f_y =  s cos x g''  + s^2 g g',          s = A e^{-t}.
+    # Backward Euler is first order: halving dt halves the error at T = 1
+    amplitude = 0.25
+    grid = GridSpec(2.0 * np.pi, 16, 16.0, 65, y_kind="cheb")
+    x = grid.x_nodes()[:, None]
+    y = grid.y_nodes()[None, :]
+    # g and its first three derivatives
+    g0, g1, g2, g3 = (
+        c * np.exp(-y) for c in (y * y, 2 * y - y * y, 2 - 4 * y + y * y, -6 + 6 * y - y * y)
+    )
+
+    def exact(t):
+        s = amplitude * np.exp(-t)
+        return np.stack((s * np.sin(x) * g1, -s * np.cos(x) * g0))
+
+    def forcing(t):
+        s = amplitude * np.exp(-t)
+        fx = -s * np.sin(x) * g3 + s * s * np.sin(x) * np.cos(x) * (g1 * g1 - g0 * g2)
+        fy = s * np.cos(x) * g2 + s * s * g0 * g1
+        return np.stack(np.broadcast_arrays(fx, fy))
+
+    initial = stream_function_field(CONSTANTS, grid, amplitude, k=1, decay=1.0)
+    assert np.allclose(initial.velocity, exact(0.0), rtol=0.0, atol=1e-15)
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        result = run_simulation(
+            NsStepper(CONSTANTS, grid),
+            initial,
+            dt,
+            round(1.0 / dt),
+            forcing=forcing,
+            picard_tol=1e-12,
+            keep_states=False,
+        )
+        assert (result.status, result.rejected_steps, result.dt_halvings) == ("completed", 0, 0)
+        final = result.states[-1]
+        assert final.time == pytest.approx(1.0)
+        u_exact = exact(final.time)
+        errors.append(np.max(np.abs(final.field.velocity - u_exact)) / np.max(np.abs(u_exact)))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(np.abs(orders - 1.0) < 0.1), (errors, orders)
+    assert errors[-1] < 1.2e-2, errors
