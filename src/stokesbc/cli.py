@@ -10,12 +10,11 @@ Five verbs, all sharing the global flags --config/--seed/--jobs/--out:
 
 Configuration is JSON, strictly validated: unknown keys are rejected, and
 every verb documents its defaults in _DEFAULTS below.  --seed overrides the
-config seed.  --jobs (or the STOKESBC_JOBS environment variable) is
-validated (an integer >= 1) but has no effect: every campaign runs on one
-thread.  That includes BLAS: this module sets OPENBLAS_NUM_THREADS to 1,
-unless the environment already sets it, before it imports numpy.  The
-library's own ``import stokesbc`` loads no numpy and changes no thread
-count.  Reports embed the fully resolved config.
+config seed.  --jobs is validated (an integer >= 1) but has no effect:
+every campaign runs on one thread.  That includes BLAS: this module sets
+OPENBLAS_NUM_THREADS to 1, unless the environment already sets it, before
+it imports numpy.  The library's own ``import stokesbc`` loads no numpy and
+changes no thread count.  Reports embed the fully resolved config.
 
 Start-up: importing this module loads numpy, numpy.fft, argparse and every
 stokesbc submodule a verb runs (perfbench's tracer looks them up in
@@ -290,23 +289,6 @@ def _load_config(command: str, config_path: str | None, seed: int | None) -> dic
     return resolved
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    source = "--jobs"
-    if jobs is None:
-        env = os.environ.get("STOKESBC_JOBS")
-        if env is not None:
-            source = "STOKESBC_JOBS"
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"STOKESBC_JOBS must be an integer, got {env!r}") from exc
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise ConfigError(f"{source} must be >= 1, got {jobs}")
-    return jobs
-
-
 def _map_ordered(fn, tasks, jobs: int) -> list:
     """fn over tasks, in task order, on this thread (jobs is accepted and
     ignored).  verify-traces maps its sections through it, the one caller
@@ -447,16 +429,24 @@ def _symbol_stacks(counts: list[int]) -> list[list[tuple[int, int]]]:
     return stacks
 
 
+def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
+    """The modes of the (chunk, count) chunks as one batch, in chunk order,
+    each chunk drawn from its own stream, keyed (seed, *key, chunk).  Returns
+    the (chunk, index) label of every mode and the batch."""
+    labels = [(chunk, idx) for chunk, count in chunks for idx in range(count)]
+    batch = ModeBatch.concat(
+        [
+            _draw_modes(np.random.default_rng([cfg["seed"], *key, chunk]), cfg, count)
+            for chunk, count in chunks
+        ]
+    )
+    return labels, batch
+
+
 def _check_symbol_stack(chunks: list[tuple[int, int]], cfg: dict) -> list[tuple]:
-    """The rows of the (chunk, count) chunks, checked as one stack: each
-    chunk's modes are drawn from the chunk's own stream, in chunk order, and
-    each row is labelled (chunk, index)."""
-    labels = []
-    batches = []
-    for chunk, count in chunks:
-        batches.append(_draw_modes(np.random.default_rng([cfg["seed"], chunk]), cfg, count))
-        labels.extend((chunk, idx) for idx in range(count))
-    batch = ModeBatch.concat(batches)
+    """The rows of the (chunk, count) chunks, checked as one stack, each row
+    labelled (chunk, index)."""
+    labels, batch = _draw_chunks(cfg, chunks, ())
     eye = np.eye(batch.n)
     worst_id = np.zeros(batch.size)
     worst_gap = np.zeros(batch.size)
@@ -546,24 +536,18 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _traces_section(task):
-    """One (relation, alpha) section as one stack: each chunk's modes are
-    drawn from the chunk's own stream, in chunk order.  Returns the
+    """One (relation, alpha) section as one stack.  Returns the
     (chunk, index) label of every mode and the section's report."""
     relation, alpha, ri, cfg = task
-    labels = []
-    batches = []
-    for chunk, count in enumerate(_chunk_counts(cfg["n_modes"])):
-        if count > 0:
-            rng = np.random.default_rng([cfg["seed"], ri, alpha + 1, chunk])
-            batches.append(_draw_modes(rng, cfg, count))
-            labels.extend((chunk, idx) for idx in range(count))
+    chunks = [(c, n) for c, n in enumerate(_chunk_counts(cfg["n_modes"])) if n > 0]
+    labels, batch = _draw_chunks(cfg, chunks, (ri, alpha + 1))
     qcfg = QuadratureCfg(
         rel_tol=cfg["quadrature"]["rel_tol"],
         truncation_multiplier=cfg["quadrature"]["truncation_multiplier"],
         max_subdivisions=cfg["quadrature"]["max_subdivisions"],
     )
     return labels, verify_trace_relations(
-        ModeBatch.concat(batches), alpha, relation, cfg=qcfg, rel_tol=cfg["rel_tol"]
+        batch, alpha, relation, cfg=qcfg, rel_tol=cfg["rel_tol"]
     )
 
 
@@ -1047,7 +1031,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
         verb.add_argument(
             "--jobs",
             type=int,
-            help="Accepted for compatibility, no effect (default: STOKESBC_JOBS or 1).",
+            help="Accepted for compatibility, no effect (default: 1).",
         )
         verb.add_argument(
             "--out",
@@ -1067,9 +1051,10 @@ def _run(command: str, config_path, seed, jobs, out_dir) -> int:
         import numpy.random  # noqa: F401
     try:
         cfg = _load_config(command, config_path, seed)
-        n_jobs = _resolve_jobs(jobs)
+        if jobs is not None and jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[command](cfg, n_jobs, out_dir)
+        return _COMMANDS[command](cfg, jobs or 1, out_dir)
     except (ConfigError, InvalidModeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,9 @@ datum h_w; its solutions are exactly in the span of the two-rate ansatz
     phat = kappa lambda_eps z_w e^{-r y},
 
 with m = omega/sqrt(mu), r = |xi|, zeta = sqrt(mu) xi, kappa = rho sqrt(mu).
+ansatz_amplitudes writes these amplitudes out, for a whole ModeBatch at
+once; a ModeSolution reads them for its one mode, and the Navier-Stokes
+stepper for all of its modes.
 
 splitting_solve_mode handles full data (f, g, h_w) by the three-stage
 scheme: (1) a pressure built from the divergence datum (plus, for the
@@ -66,11 +69,12 @@ from .profiles import (
     gradient,
     helmholtz_solve_mode,
 )
-from .symbols import BcSpec, FluidConstants, ModeParams, solve_coefficients
+from .symbols import BcSpec, FluidConstants, ModeBatch, ModeParams, solve_coefficients
 
 __all__ = [
     "ModeSolution",
     "SplittingSolution",
+    "ansatz_amplitudes",
     "solve_mode",
     "splitting_solve_mode",
     "forward_data",
@@ -110,38 +114,11 @@ class ModeSolution:
         """Assemble the two-rate ansatz profiles from (z_v, z_w)."""
         z_v = np.asarray(z_v, dtype=complex)
         z_w = complex(z_w)
-        m = mode.rate_fast
-        r = mode.rate_slow
-        zeta = np.asarray(mode.zeta, dtype=float)
-        xi = mode.xi
-
-        tangential = tuple(
-            ScalarModeProfile(
-                xi,
-                (
-                    (mode.omega * z_v[j], m, 0),
-                    (-1j * zeta[j] * z_w, r, 0),
-                ),
-            )
-            for j in range(len(xi))
-        )
-        normal = ScalarModeProfile(
-            xi,
-            (
-                (1j * (zeta @ z_v), m, 0),
-                (mode.abs_zeta * z_w, r, 0),
-            ),
-        )
-        pressure = ScalarModeProfile(
-            xi, ((mode.kappa * mode.lambda_eps * z_w, r, 0),)
-        )
-        return cls(
-            mode,
-            bc,
-            VectorModeProfile(xi, tangential, normal),
-            pressure,
-            coefficients=(z_v, z_w),
-        )
+        fast, slow = ansatz_amplitudes(mode.batch, z_v[None], np.array([z_w]))[..., 0]
+        m, r = mode.rate_fast, mode.rate_slow
+        rows = [ScalarModeProfile(mode.xi, ((a, m, 0), (b, r, 0))) for a, b in zip(fast, slow)]
+        velocity = VectorModeProfile(mode.xi, rows[:-2], rows[-2])
+        return cls(mode, bc, velocity, rows[-1], coefficients=(z_v, z_w))
 
     # -- residual calculus ------------------------------------------------------
 
@@ -193,32 +170,33 @@ class ModeSolution:
         )
 
 
+def ansatz_amplitudes(modes: ModeBatch, z_v: np.ndarray, z_w: np.ndarray) -> np.ndarray:
+    """The two-rate ansatz of the coefficients (z_v, z_w), as amplitudes.
+
+    z_v is (N, n-1) and z_w (N,) over the modes of the batch.  Returns the
+    (2, n+1, N) array whose [0] and [1] hold the amplitudes on e^{-m y} and
+    on e^{-r y} of each component of (vhat, what, phat) and each mode.
+    """
+    nt = modes.n - 1
+    amps = np.zeros((2, nt + 2, modes.size), dtype=complex)
+    amps[0, :nt] = (modes.omega[:, None] * z_v).T
+    amps[0, nt] = 1j * np.sum(modes.zeta * z_v, axis=1)
+    amps[1, :nt] = (-1j * modes.zeta * z_w[:, None]).T
+    amps[1, nt] = modes.abs_zeta * z_w
+    amps[1, nt + 1] = modes.kappa * modes.lambda_eps * z_w
+    return amps
+
+
 def solve_mode(mode: ModeParams, bc: BcSpec, h_w) -> ModeSolution:
     """Solve the homogeneous-interior mode problem with normal datum h_w.
 
     h_w is the e_y component of the boundary datum (equivalently -h . nu for
     the outer normal nu = -e_y).  The tangential datum is zero.  Every such
     decaying solution lies in the two-rate ansatz span, so the result is in
-    coefficient form.  For beta in {0, +1} the coefficients come from the
-    boundary-symbol inverse; the beta = -1 (pressure Dirichlet) row
-    determines z_w = h_w / (kappa lambda_eps) directly and the tangential
-    row then fixes z_v in closed form.
+    coefficient form, with the coefficients of solve_coefficients: a batch
+    of one mode.
     """
-    h_w = complex(h_w)
-    if bc.beta in (0, 1):
-        z_v, z_w = solve_coefficients(mode, bc, h_w)
-        return ModeSolution.from_coefficients(mode, bc, z_v, z_w)
-
-    z_w = h_w / (mode.kappa * mode.lambda_eps)
-    zeta = np.asarray(mode.zeta, dtype=float)
-    if bc.alpha == 0:
-        z_v = (1j * zeta) * (z_w / mode.omega)
-    elif bc.alpha == -1:
-        z_v = np.zeros(len(mode.xi), dtype=complex)
-    else:  # alpha == +1
-        gamma = 2.0 * mode.abs_zeta * z_w / (mode.omega**2 + mode.abs_zeta**2)
-        z_v = gamma * (1j * zeta)
-    return ModeSolution.from_coefficients(mode, bc, z_v, z_w)
+    return ModeSolution.from_coefficients(mode, bc, *solve_coefficients(mode, bc, h_w))
 
 
 @dataclass(frozen=True)

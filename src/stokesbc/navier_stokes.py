@@ -26,8 +26,9 @@ Chebyshev-Lobatto wall-normal grid:
     (3) the exponential two-rate ansatz correction carrying the leftover
         normal trace -what(0), sampled on the nodes (its pressure joins the
         reported pressure).  Stage 3 is linear in that datum, so it is the
-        correction for datum 1, computed once per (mode, dt), scaled by
-        -what(0).
+        correction for datum 1, computed once per dt for every mode at once
+        (solve_coefficients and ansatz_amplitudes on one ModeBatch, one
+        np.exp per rate), scaled by -what(0).
 
 The mean mode xi = 0 reduces to what == 0, a one-dimensional Helmholtz
 solve for vbar with vbar(0) = vbar(Y) = 0, and the hydrostatic integration
@@ -46,7 +47,7 @@ by a lift: h_k solves (a_k - mu D^2) h = 0 inside with h(0) = 1,
 h(Y) = 0, and what = w + c h with c = -(D w)(0) / (D h)(0) for the
 Dirichlet solution w.  Then what(0) = c, so the lift and the stage-3
 correction are one profile per (mode, dt) scaled by c.  A new dt builds
-only the diagonals, the h_k and the stage-3 solve_mode corrections.
+only the diagonals, the h_k and the batched stage-3 corrections.
 
 The march keeps each Picard iterate on the velocity spectrum, laid out
 (component, y, mode) by energy._spectrum.  A step transforms u_old once,
@@ -72,8 +73,8 @@ from .energy import _apply, _gradient_spectrum, _samples, _spectrum
 from .energy import _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
 from .grids import diff_matrix
-from .halfspace import GridSpec, SampledField, solve_mode
-from .symbols import BcSpec, FluidConstants, derive_mode
+from .halfspace import GridSpec, SampledField, ansatz_amplitudes
+from .symbols import BcSpec, FluidConstants, ModeBatch, solve_coefficients
 
 __all__ = [
     "NsState",
@@ -241,13 +242,20 @@ class NsStepper:
         self._trace = -1.0 / (self.dy[0] @ h)
         # per unit c: the lift c h and the stage-3 correction for the datum -c,
         # as (vhat, what, phat); the mean mode keeps what = 0 and gets neither
+        corrected = np.flatnonzero(self._kept)[1:]
+        ones = np.ones(len(corrected))
+        modes = ModeBatch(rho * ones, mu * ones, ones / dt, 0j * ones, xi[corrected, None])
+        modes.check_admissible()
+        fast, slow = ansatz_amplitudes(modes, *solve_coefficients(modes, _NS_BC, 1.0))
+        # the slow rate goes through the complex exp, as a ModeSolution's
+        # profiles take it: numpy's real exp can differ in the last bit
+        y = self.y[:, None]
         lift = np.zeros((3, self.ny, self.n_modes), dtype=complex)
-        shifted = FluidConstants(rho, mu, 1.0 / dt)
-        for k in np.flatnonzero(self._kept)[1:]:
-            corr = solve_mode(derive_mode(shifted, 0.0, (xi[k],)), _NS_BC, 1.0)
-            lift[:2, :, k] = -corr.velocity.evaluate(self.y)
-            lift[2, :, k] = -corr.pressure(self.y)
-            lift[1, :, k] += h[:, k]
+        lift[:, :, corrected] = -(
+            fast[:, None] * np.exp(-modes.rate_fast * y)
+            + slow[:, None] * np.exp(-modes.abs_xi * y + 0j)
+        )
+        lift[1][:, corrected] += h[:, corrected]
         self._lift = lift
         self._dt = dt
 

@@ -39,7 +39,8 @@ antisymmetric viscous stress), beta the normal one (0: normal velocity;
 +1: normal stress; -1: pressure trace).  BcSpec.tangential_row and
 BcSpec.normal_row are the one definition of these wall rows.  beta = -1
 prescribes the pressure trace directly and needs no symbol solve, so the
-symbol constructors reject it.
+symbol constructors reject it; solve_coefficients solves its rows in closed
+form.
 
 Rows of B, the wall rows applied to the ansatz:
 
@@ -553,8 +554,9 @@ def closed_form_inverse(mode: ModeParams | ModeBatch, bc: BcSpec) -> np.ndarray:
     Emits a warning when cond(B) exceeds COND_WARN_THRESHOLD (cond(B) is
     read off the inverse, whose condition number is the same).
 
-    For a ModeBatch the result is the (N, n, n) stack of the inverses; the
-    single-mode call is a batch of one through the same arithmetic.
+    For a ModeBatch the result is the (N, n, n) stack of the inverses, empty
+    for an empty batch; the single-mode call is a batch of one through the
+    same arithmetic.
     """
     _check_bc_for_symbol(bc)
     p = _as_batch(mode)
@@ -596,7 +598,7 @@ def closed_form_inverse(mode: ModeParams | ModeBatch, bc: BcSpec) -> np.ndarray:
     binv = minv / _row_scalings(p, bc)[:, None, :]
 
     cond = _condition_numbers(binv)
-    if cond.max() > COND_WARN_THRESHOLD:
+    if cond.size and cond.max() > COND_WARN_THRESHOLD:
         worst = int(np.argmax(cond))
         msg = (
             f"boundary symbol poorly conditioned (cond = {cond[worst]:.3e}) at "
@@ -691,22 +693,44 @@ def trace_multiplier(mode: ModeParams | ModeBatch, bc: BcSpec):
     return _unbatch(mode, mult)
 
 
-def solve_coefficients(
-    mode: ModeParams, bc: BcSpec, h_w: complex
-) -> tuple[np.ndarray, complex]:
-    """Solve B [z_v; z_w] = [0; h_w] by the closed-form inverse.
+def solve_coefficients(mode: ModeParams | ModeBatch, bc: BcSpec, h_w):
+    """The ansatz coefficients (z_v, z_w) for tangential datum 0 and normal
+    datum h_w, under any pair (alpha, beta).
 
-    Returns (z_v, z_w); z_v has shape (n-1,).  Raises SingularModeError when
-    cond(B), read off the inverse as closed_form_inverse's warning reads it,
-    is not finite: the solve then carries no digits.
+    For beta in {0, +1} they solve B [z_v; z_w] = [0; h_w] by the
+    closed-form inverse, and SingularModeError is raised when cond(B), read
+    off the inverse as closed_form_inverse's warning reads it, is not
+    finite: the solve then carries no digits.  For beta = -1 the pressure
+    trace gives kappa lambda_eps z_w = h_w, and the tangential row then
+    z_v = gamma i zeta in closed form.
+
+    For a ModeBatch, h_w is one datum or one per mode, z_v is (N, n-1) and
+    z_w (N,).  A ModeParams is a batch of one through the same arithmetic,
+    returned as z_v of shape (n-1,) and a complex z_w.
     """
-    binv = closed_form_inverse(mode, bc)
-    cond = _condition_numbers(binv[None])[0]
-    if not np.isfinite(cond):
-        raise SingularModeError(
-            f"boundary symbol numerically singular (cond = {cond:.3e}) at "
-            f"(alpha, beta) = ({bc.alpha}, {bc.beta}), |xi| = {mode.abs_xi:.3e}"
-        )
-    # the right-hand side is h_w e_n, so z is h_w times B^-1's last column
-    z = binv[:, -1] * h_w
-    return z[:-1], complex(z[-1])
+    p = _as_batch(mode)
+    h_w = np.broadcast_to(np.asarray(h_w, dtype=complex), (p.size,))
+    if bc.beta == -1:
+        z_w = h_w / (p.kappa * p.lambda_eps)
+        if bc.alpha == 0:
+            gamma = z_w / p.omega
+        elif bc.alpha == 1:
+            gamma = 2.0 * p.abs_zeta * z_w / (p.omega**2 + p.abs_zeta**2)
+        else:
+            gamma = np.zeros_like(z_w)
+        z_v = gamma[:, None] * (1j * p.zeta)
+    else:
+        binv = closed_form_inverse(p, bc)
+        cond = _condition_numbers(binv)
+        if not np.isfinite(cond).all():
+            i = int(np.argmin(np.isfinite(cond)))
+            raise SingularModeError(
+                f"boundary symbol numerically singular (cond = {cond[i]:.3e}) at "
+                f"(alpha, beta) = ({bc.alpha}, {bc.beta}), |xi| = {p.abs_xi[i]:.3e}"
+            )
+        # the right-hand side is h_w e_n, so z is h_w times B^-1's last column
+        z = binv[:, :, -1] * h_w[:, None]
+        z_v, z_w = z[:, :-1], z[:, -1]
+    if isinstance(mode, ModeBatch):
+        return z_v, z_w
+    return z_v[0], complex(z_w[0])

@@ -393,30 +393,10 @@ def test_seed_flag_overrides_config(runner, tmp_path):
     assert report["config"]["seed"] == 77
 
 
-def test_jobs_env_var_honoured(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("STOKESBC_JOBS", "3")
-    result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 24})
-    assert result.exit_code == 0
-    monkeypatch.delenv("STOKESBC_JOBS")
-    serial, out2 = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 24}, name="s")
-    assert tree_bytes(out) == tree_bytes(out2)
-
-
-@pytest.mark.parametrize(
-    "extra, env, named",
-    [
-        (("--jobs", "0"), None, "--jobs"),
-        ((), "abc", "STOKESBC_JOBS"),
-        ((), "0", "STOKESBC_JOBS"),
-    ],
-)
-def test_invalid_jobs_exits_2(runner, tmp_path, monkeypatch, extra, env, named):
-    monkeypatch.delenv("STOKESBC_JOBS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("STOKESBC_JOBS", env)
-    result, _ = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1}, extra=extra)
+def test_invalid_jobs_exits_2(runner, tmp_path):
+    result, _ = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 1}, extra=("--jobs", "0"))
     assert result.exit_code == 2, result.output
-    assert f"config error: {named}" in result.output
+    assert "config error: --jobs" in result.output
 
 
 def test_verify_traces_smoke_and_worst_mode(runner, tmp_path):
@@ -680,6 +660,17 @@ def test_run_ns_small_campaign(runner, tmp_path):
     }
     assert (out / "final_field.csv").exists()
     assert (out / "final_manifest.json").exists()
+
+
+@pytest.mark.parametrize("x_count", [1, 2])
+def test_run_ns_with_only_the_mean_and_nyquist_modes(runner, tmp_path, x_count):
+    # no mode needs a stage-3 correction, so the stepper solves an empty batch
+    cfg = {"grid": {"x_count": x_count, "y_count": 33}, "n_steps": 3}
+    result, out = invoke(runner, "run-ns", tmp_path, cfg)
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "run_ns.json").read_text())
+    assert report["status"] == "completed"
+    assert report["n_steps_accepted"] == 3
 
 
 def test_run_ns_deterministic(runner, tmp_path):

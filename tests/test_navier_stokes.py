@@ -266,19 +266,29 @@ def _counted(calls, name, fn):
 
 def test_eigenbasis_built_once_per_grid_and_lifts_once_per_dt(monkeypatch):
     calls = Counter()
-    monkeypatch.setattr(ns, "solve_mode", _counted(calls, "solve_mode", ns.solve_mode))
+    sizes = []
+    batched_solve = ns.solve_coefficients
+
+    def solve_coefficients(modes, bc, h_w):
+        sizes.append(modes.size)
+        return batched_solve(modes, bc, h_w)
+
+    monkeypatch.setattr(ns, "solve_coefficients", solve_coefficients)
     monkeypatch.setattr(np.linalg, "eig", _counted(calls, "eig", np.linalg.eig))
     grid = cheb_grid(nx=16, ny=49)
     stepper = NsStepper(CONSTANTS, grid)
     assert calls == {"eig": 1}
+    assert sizes == []
     result = run_simulation(stepper, small_field(grid), dt=0.02, n_steps=3)
     assert result.status == "completed"
     assert result.picard_iterations > 3
     n_modes = 7  # stage 3 corrects modes 1..7; the mean mode needs none
-    assert calls == {"eig": 1, "solve_mode": n_modes}
-    # a new dt rebuilds the lifts, not the eigenbasis
+    assert calls == {"eig": 1}
+    assert sizes == [n_modes]
+    # a new dt rebuilds the lifts, in one more batched solve, not the eigenbasis
     stepper.step(result.states[-1], 0.01)
-    assert calls == {"eig": 1, "solve_mode": 2 * n_modes}
+    assert calls == {"eig": 1}
+    assert sizes == [n_modes, n_modes]
 
 
 @pytest.mark.parametrize("ny", [3, 4, 5, 9, 17, 33, 64, 65, 129, 257, 513])

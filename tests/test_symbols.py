@@ -281,6 +281,39 @@ def test_batch_is_the_stacked_single_mode_results(n_tangential):
         assert m.shape == (40, n_tangential + 1, n_tangential + 1)
 
 
+@pytest.mark.parametrize("n_tangential", [1, 2])
+def test_batched_solve_coefficients_are_the_one_mode_solves(n_tangential):
+    rng = np.random.default_rng(12)
+    modes = [draw_mode(rng, n_tangential) for _ in range(40)]
+    batch = ModeBatch.from_modes(modes)
+    h_w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    for bc in ALL_BCS:
+        for data in (h_w, h_w[0]):
+            z_v, z_w = solve_coefficients(batch, bc, data)
+            assert z_v.shape == (40, n_tangential) and z_w.shape == (40,)
+            for i, mode in enumerate(modes):
+                one_v, one_w = solve_coefficients(mode, bc, np.broadcast_to(data, 40)[i])
+                assert one_v.shape == (n_tangential,) and type(one_w) is complex
+                assert z_v[i].tobytes() == one_v.tobytes(), (bc, i)
+                assert z_w[i].tobytes() == np.complex128(one_w).tobytes(), (bc, i)
+
+
+@pytest.mark.parametrize("n_tangential", [1, 2])
+def test_empty_batch_gives_empty_stacks(n_tangential):
+    n = n_tangential + 1
+    empty = ModeBatch(
+        *(np.zeros(0) for _ in range(3)), np.zeros(0, complex), np.zeros((0, n_tangential))
+    )
+    assert empty.check_admissible() is empty
+    for bc in SYMBOL_BCS:
+        for fn in (boundary_symbol, closed_form_inverse, generic_inverse):
+            assert fn(empty, bc).shape == (0, n, n)
+    for bc in ALL_BCS:
+        assert trace_multiplier(empty, bc).shape == (0,)
+        z_v, z_w = solve_coefficients(empty, bc, 1.0)
+        assert z_v.shape == (0, n_tangential) and z_w.shape == (0,)
+
+
 def test_closed_form_condition_number_matches_svd():
     from stokesbc.symbols import _condition_numbers
 
