@@ -348,7 +348,8 @@ def _draw_constants(rng: np.random.Generator, cfg: dict):
 
 
 def _draw_modes(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch:
-    """count random admissible modes, as one validated ModeBatch.
+    """count random modes, as one ModeBatch that is not yet checked for
+    admissibility (_draw_chunks checks the batch it concatenates, once).
 
     Mode i is row i of u = rng.random((count, 5)), by column: log10 |xi|,
     Im lambda, the index floor(u k) into the k epsilon_choices, log10 rho
@@ -379,7 +380,7 @@ def _draw_modes(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch:
         epsilon=eps,
         lam=1j * uniform(1, *map(float, cfg["lambda_im_range"])),
         xi=log_uniform(0, "abs_xi_range")[:, None],
-    ).check_admissible()
+    )
 
 
 def _validate_sweep_config(cfg: dict) -> None:
@@ -432,7 +433,10 @@ def _symbol_stacks(counts: list[int]) -> list[list[tuple[int, int]]]:
 def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
     """The modes of the (chunk, count) chunks as one batch, in chunk order,
     each chunk drawn from its own stream, keyed (seed, *key, chunk).  Returns
-    the (chunk, index) label of every mode and the batch."""
+    the (chunk, index) label of every mode and the batch, checked for
+    admissibility as a whole, so that the symbols the check derives stay
+    cached on the batch the campaign reads.  An inadmissible mode raises
+    InvalidModeError naming its (chunk, index) row."""
     labels = [(chunk, idx) for chunk, count in chunks for idx in range(count)]
     batch = ModeBatch.concat(
         [
@@ -440,6 +444,11 @@ def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
             for chunk, count in chunks
         ]
     )
+    try:
+        batch.check_admissible()
+    except InvalidModeError as exc:
+        chunk, idx = labels[exc.index]
+        raise InvalidModeError(f"{exc.reason} in row (chunk {chunk}, index {idx})") from None
     return labels, batch
 
 
@@ -540,7 +549,10 @@ def _traces_section(task):
     (chunk, index) label of every mode and the section's report."""
     relation, alpha, ri, cfg = task
     chunks = [(c, n) for c, n in enumerate(_chunk_counts(cfg["n_modes"])) if n > 0]
-    labels, batch = _draw_chunks(cfg, chunks, (ri, alpha + 1))
+    try:
+        labels, batch = _draw_chunks(cfg, chunks, (ri, alpha + 1))
+    except InvalidModeError as exc:
+        raise InvalidModeError(f"{exc} of {relation} alpha={alpha:+d}") from None
     qcfg = QuadratureCfg(
         rel_tol=cfg["quadrature"]["rel_tol"],
         truncation_multiplier=cfg["quadrature"]["truncation_multiplier"],

@@ -11,7 +11,20 @@ class StokesbcError(Exception):
 
 class InvalidModeError(StokesbcError):
     """Mode parameters outside the admissible set (Re lambda < 0, nonpositive
-    constants, non-finite entries, ...)."""
+    constants, non-finite entries, ...).
+
+    An error made by at_mode also says what failed (reason) and at which
+    position of its ModeBatch (index), so that a caller which labels the
+    modes can name the offending one in its own terms."""
+
+    reason: str | None = None
+    index: int | None = None
+
+    @classmethod
+    def at_mode(cls, reason: str, index: int) -> "InvalidModeError":
+        exc = cls(f"{reason} at mode {index}")
+        exc.reason, exc.index = reason, index
+        return exc
 
 
 class ZeroModeError(StokesbcError):

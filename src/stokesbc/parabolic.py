@@ -125,13 +125,34 @@ def _prefactor(mode: ModeParams | ModeBatch):
 
 def _kernel_values(m, r, pref, y, eta, dy: bool):
     """pref (e^{-m|y-eta|} + r e^{-m(y+eta)}), or its d/dy (the |y - eta|
-    kink contributes sign(y - eta)); the arguments broadcast."""
-    base = np.exp(-m * np.abs(y - eta))
-    refl = np.exp(-m * (y + eta))
+    kink contributes sign(y - eta)), for eta >= 0.  The shape is that of y
+    and eta broadcast together; m, r and pref broadcast to it.
+
+    On the wall row, y the scalar 0, |y - eta| and y + eta are both eta, so
+    one exponential serves both terms.  The result is built in place in the
+    array of the image term, each step rounded as the plain expression
+    rounds it.  A real factor is cast to complex before it meets m: numpy
+    multiplies a broadcast (P, 1) complex column into a (P, 15) real array
+    row by row through its casting buffer, about ten times slower.
+    """
+    if np.ndim(y) == 0 and y == 0.0:
+        refl = np.array(eta, dtype=complex)
+        np.multiply(-m, refl, out=refl)
+        np.exp(refl, out=refl)
+        base = refl if dy else refl.copy()
+    else:
+        base = np.exp(-m * np.abs(y - eta))
+        refl = np.asarray(-m * (y + eta))
+        np.exp(refl, out=refl)
     if dy:
-        base = -m * np.sign(y - eta) * base
-        refl = -m * refl
-    return pref * (base + r * refl)
+        slope = np.array(np.sign(y - eta), dtype=complex)
+        np.multiply(-m, slope, out=slope)
+        slope *= base
+        base = slope
+        np.multiply(-m, refl, out=refl)
+    np.multiply(r, refl, out=refl)
+    refl += base
+    return np.multiply(pref, refl, out=refl)
 
 
 def _eval(spec: KernelSpec, y, eta, dy: bool):
@@ -466,7 +487,10 @@ def _wall_traces(batch: ModeBatch, kind: str, dirichlet: bool, cfg: QuadratureCf
         kernel = _kernel_values(
             m[rows, None], r[rows, None], pref[rows, None], 0.0, eta, dirichlet
         )
-        return kernel * (amp[rows, None] * np.exp(-rate[rows, None] * eta))
+        source = np.multiply(-rate[rows, None], eta)
+        np.exp(source, out=source)
+        np.multiply(amp[rows, None], source, out=source)
+        return np.multiply(kernel, source, out=kernel)
 
     upper = cfg.truncation_multiplier / (m.real + rate)
     return adaptive_integrate_stack(

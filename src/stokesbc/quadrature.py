@@ -108,15 +108,22 @@ def gauss_kronrod_15(f, a, b):
     a and b are floats, or (P,) arrays of panel ends; f maps the abscissae
     (shape (15,), or (P, 15)) to values of the same shape.  Array ends give
     (P,) arrays, float ends a (complex, float) pair.
+
+    The abscissae are built in place, and the weighted values of the Kronrod
+    sum and then of the Gauss sum share one scratch array: a call makes no
+    (P, 15) temporary beyond those two and what f makes.  The sums add the
+    weighted values in the order np.sum(w * fv, axis=-1) adds them.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x = c[..., None] + h[..., None] * _NODES
+    x = np.multiply(h[..., None], _NODES)
+    x += c[..., None]
     fv = f(x)
-    k = h * np.sum(_WK * fv, axis=-1)
-    g = h * np.sum(_WG * fv, axis=-1)
+    weighted = np.multiply(_WK, fv)
+    k = h * np.sum(weighted, axis=-1)
+    g = h * np.sum(np.multiply(_WG, fv, out=weighted), axis=-1)
     err = np.abs(k - g)
     if k.ndim:
         return k, err

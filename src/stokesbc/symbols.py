@@ -321,7 +321,7 @@ class ModeBatch:
         """self, after the admissibility checks: at least one tangential
         component (n >= 2); rho, mu, epsilon finite and > 0; lam finite with
         Re lam >= 0; xi finite; |xi|^2 and omega finite.  Raises
-        InvalidModeError naming the first offending mode."""
+        InvalidModeError.at_mode naming the first offending mode."""
         if self.xi.shape[1] < 1:
             raise InvalidModeError("xi must have at least one component (n >= 2)")
         checks = [
@@ -342,7 +342,7 @@ class ModeBatch:
         for what, val, ok in checks:
             if not ok.all():
                 i = int(np.argmin(ok))
-                raise InvalidModeError(f"{what}, got {val[i]} at mode {i}")
+                raise InvalidModeError.at_mode(f"{what}, got {val[i]}", i)
         return self
 
     def extended(self) -> "ModeBatch":

@@ -438,6 +438,36 @@ def test_verify_traces_deterministic_across_jobs_with_counters(runner, tmp_path)
         assert (counters["adaptive_rounds"] == 0) == vacuous
 
 
+# per-section (quadrature_intervals.sum, panel_evals, adaptive_rounds) of the
+# default verify-traces run, seed 2024: 8,851 intervals, 15,902 panels and 30
+# rounds in all; T11 at alpha = 0 is one vacuous panel per mode
+DEFAULT_TRACE_COUNTERS = {
+    ("T00", 0): (1733, 3166, 6),
+    ("T10", 1): (1710, 3120, 6),
+    ("T10", -1): (1710, 3120, 6),
+    ("T11", 0): (300, 300, 0),
+    ("T11", 1): (1697, 3094, 6),
+    ("T11", -1): (1701, 3102, 6),
+}
+
+
+def test_default_verify_traces_counters_are_pinned(runner, tmp_path):
+    """The quadrature does exactly the work it did: the same partitions,
+    panels and rounds in every section of the default sweep."""
+    result, out = invoke(runner, "verify-traces", tmp_path)
+    assert result.exit_code == 0, result.output
+    counters = {
+        (s["relation"], s["alpha"]): (
+            s["counters"]["quadrature_intervals"]["sum"],
+            s["counters"]["panel_evals"],
+            s["counters"]["adaptive_rounds"],
+        )
+        for s in json.loads((out / "verify_traces.json").read_text())["relations"]
+    }
+    assert counters == DEFAULT_TRACE_COUNTERS
+    assert [sum(c) for c in zip(*counters.values())] == [8851, 15902, 30]
+
+
 def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path):
     """A section checks all its chunks as one stack; every row's rel_error
     is, bit for bit, what its chunk returns when checked on its own."""
@@ -754,11 +784,97 @@ def test_draw_reads_one_row_of_five_uniforms_per_mode():
 
 
 def test_batch_draw_validates_like_the_scalar_loop():
+    """_draw_modes leaves the check to _draw_chunks, which rejects the mode
+    the scalar loop rejects, named by its (chunk, index) row."""
     cfg = {**cli._DEFAULTS["verify-symbols"], "epsilon_choices": [-1.0, 1.0]}
+    key = [cfg["seed"], 0]
+    drawn = cli._draw_modes(np.random.default_rng(key), cfg, 16)
+    first = int(np.argmax(drawn.epsilon < 0.0))
+    assert drawn.epsilon[first] == -1.0
+    rng = np.random.default_rng(key)
+    for _ in range(first):
+        cli._draw_constants(rng, cfg)
     with pytest.raises(cli.InvalidModeError, match="epsilon"):
-        cli._draw_modes(np.random.default_rng(0), cfg, 16)
-    with pytest.raises(cli.InvalidModeError, match="epsilon"):
-        single_draws(0, cfg, 16)
+        cli._draw_constants(rng, cfg)
+    with pytest.raises(
+        cli.InvalidModeError, match=rf"^epsilon .* in row \(chunk 0, index {first}\)$"
+    ):
+        cli._draw_chunks(cfg, [(0, 16)], ())
+
+
+def test_each_drawn_batch_is_checked_once_and_keeps_its_symbols(
+    runner, tmp_path, monkeypatch
+):
+    """One admissibility check per verify-traces section and per
+    verify-symbols stack, on the batch the campaign then reads, with the
+    omega it derived still cached there."""
+    checked = []
+    check = cli.ModeBatch.check_admissible
+
+    def counted(batch):
+        checked.append(batch.size)
+        return check(batch)
+
+    kept = []
+    verify = cli.verify_trace_relations
+
+    def reading(batch, *args, **kwargs):
+        kept.append("omega" in vars(batch))
+        return verify(batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli.ModeBatch, "check_admissible", counted)
+    monkeypatch.setattr(cli, "verify_trace_relations", reading)
+    result, _ = invoke(runner, "verify-traces", tmp_path, {"n_modes": 40})
+    assert result.exit_code == 0, result.output
+    assert checked == [40] * 6
+    assert kept == [True] * 6
+
+    checked.clear()
+    result, _ = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 2100}, name="sym")
+    assert result.exit_code == 0, result.output
+    stacks = cli._symbol_stacks(cli._chunk_counts(2100))
+    assert len(stacks) == 3
+    assert checked == [sum(count for _, count in stack) for stack in stacks]
+
+
+def first_overflow_row(cfg, key, chunks):
+    """(chunk, index) of the first mode, in chunk order, whose |xi|^2
+    overflows."""
+    labels = [(chunk, idx) for chunk, count in chunks for idx in range(count)]
+    with np.errstate(over="ignore"):
+        xi_sq = np.concatenate(
+            [
+                cli._draw_modes(np.random.default_rng([cfg["seed"], *key, chunk]), cfg, count).xi_sq
+                for chunk, count in chunks
+            ]
+        )
+    return labels[int(np.argmax(~np.isfinite(xi_sq)))]
+
+
+@pytest.mark.parametrize("verb", ["verify-traces", "verify-symbols"])
+def test_inadmissible_draw_names_its_row(runner, tmp_path, verb):
+    """|xi| up to 1e156 overflows |xi|^2 on some rows: the error names the
+    first of them by (chunk, index), and verify-traces also by its section."""
+    override = {"abs_xi_range": [1.0e100, 1.0e156]}
+    if verb == "verify-traces":
+        override["relations"] = ["T10"]
+    cfg = {**cli._DEFAULTS[verb], **override}
+    counts = cli._chunk_counts(cfg["n_modes"])
+    if verb == "verify-traces":
+        # the first section: T10 at alpha = +1, keyed (relation 0, alpha + 1)
+        chunks = [(c, n) for c, n in enumerate(counts) if n > 0]
+        chunk, idx = first_overflow_row(cfg, (0, 2), chunks)
+        where = " of T10 alpha=+1"
+    else:
+        chunk, idx = first_overflow_row(cfg, (), cli._symbol_stacks(counts)[0])
+        where = ""
+    # the row is not the first of its section, nor of its chunk
+    assert idx > 0
+    result, _ = invoke(runner, verb, tmp_path, override)
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        f"config error: |xi|^2 must be finite, got inf in row (chunk {chunk}, index {idx}){where}"
+    )
 
 
 # first and last mode of chunks 0 and 15 at seed 2024, for the verify-symbols

@@ -256,6 +256,34 @@ def test_batched_resolvent_matches_mode_by_mode_reference(nx):
             assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
 
 
+def top_row_share(y_max):
+    """max |u(Y)| / max |u| of one resolvent solve on a random datum, on a
+    32 x 129 grid of depth y_max, dt = 0.05, rho = mu = 1."""
+    stepper = NsStepper(CONSTANTS, cheb_grid(nx=32, ny=129, y_max=y_max))
+    f_datum = np.random.default_rng(2024).standard_normal((2, 32, 129))
+    u = _samples(stepper.solve_stokes(_spectrum(f_datum), 0.05), 32)[:2]
+    return np.max(np.abs(u[:, :, -1])) / np.max(np.abs(u))
+
+
+@pytest.mark.parametrize(
+    "y_max",
+    [
+        # the depth ns-desk and the run-ns default use
+        16.0,
+        pytest.param(
+            4.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="stage 3 adds the halfspace ansatz, which does not vanish at "
+                "y = Y; meeting the top row at any depth is ROADMAP item 4",
+            ),
+        ),
+    ],
+)
+def test_march_meets_its_top_row(y_max):
+    assert top_row_share(y_max) < 1e-6
+
+
 def _counted(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls[name] += 1

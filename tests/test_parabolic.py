@@ -31,6 +31,7 @@ from stokesbc import (
 from stokesbc.parabolic import (
     _KW_BY_ALPHA,
     VerificationReport,
+    _kernel_values,
     _wall_traces,
     eval_kernel_dy,
 )
@@ -300,3 +301,34 @@ def test_stacked_wall_traces_match_the_scalar_loop():
                 lambda eta: kernel(spec, 0.0, eta) * source(eta), 0.0, upper, cfg.rel_tol
             )
             assert abs(value - ref) <= cfg.rel_tol * abs(ref)
+
+
+@pytest.mark.parametrize("dy", [False, True])
+@pytest.mark.parametrize("stacked", [True, False])
+def test_wall_kernel_values_are_the_two_exponential_expression(dy, stacked):
+    """On the wall row y = 0 the kernel takes one exponential for both terms,
+    in place; the values keep, bit for bit, those of the expression with
+    e^{-m|y - eta|} and e^{-m(y + eta)} taken separately, eta = 0 included."""
+    rng = np.random.default_rng(26 + 2 * dy + stacked)
+    rows = 40 if stacked else 1
+
+    def draw_complex(lo, hi):
+        return rng.uniform(lo, hi, (rows, 1)) + 1j * rng.uniform(-10.0, 10.0, (rows, 1))
+
+    m, r, pref = draw_complex(0.01, 10.0), draw_complex(-5.0, 5.0), draw_complex(-5.0, 5.0)
+    eta = rng.uniform(0.0, 50.0, (rows, 15))
+    eta[0, [0, 7]] = 0.0
+    if not stacked:
+        # one mode's scalars against a line of nodes, as eval_kernel passes them
+        m, r, pref, eta = m.item(), r.item(), pref.item(), eta[0]
+
+    base = np.exp(-m * np.abs(0.0 - eta))
+    refl = np.exp(-m * (0.0 + eta))
+    if dy:
+        base = -m * np.sign(0.0 - eta) * base
+        refl = -m * refl
+    expected = pref * (base + r * refl)
+
+    got = _kernel_values(m, r, pref, 0.0, eta, dy)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
