@@ -32,6 +32,7 @@ _EXPORTS: dict[str, str] = {
             "QuadratureBudgetError",
             "ConfigError",
             "AuditError",
+            "canonical_json",
         ),
         "symbols": (
             "FluidConstants",
@@ -84,7 +85,6 @@ _EXPORTS: dict[str, str] = {
             "synthesize_field",
             "write_field_csv",
             "read_field_csv",
-            "canonical_json",
             "field_manifest",
             "write_manifest",
             "read_manifest",

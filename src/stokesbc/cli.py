@@ -16,14 +16,19 @@ OPENBLAS_NUM_THREADS to 1, unless the environment already sets it, before
 it imports numpy.  The library's own ``import stokesbc`` loads no numpy and
 changes no thread count.  Reports embed the fully resolved config.
 
-Start-up: importing this module loads numpy, numpy.fft, argparse and every
-stokesbc submodule a verb runs (perfbench's tracer looks them up in
-sys.modules).  It does not load numpy.random, which brings in secrets and
-hashlib and with them OpenSSL's libcrypto: about 12 ms and 6 MB of resident
-memory (4 MB of it libcrypto) on a 2-vCPU x86-64 host, none of which solve
-or run-ns uses.  The verbs that draw random numbers (verify-symbols,
-verify-traces, energy-audit) import it before they read their config, so
-that it stays start-up work rather than part of the campaign.
+Start-up: importing this module loads numpy, numpy.fft, argparse and the
+two stokesbc submodules that every verb runs, errors and symbols.  It
+registers the other eight in sys.modules, and on the package, through
+importlib.util.LazyLoader, which runs a module on first use; perfbench's
+tracer looks them all up in sys.modules.  Each verb then loads what it runs
+(_VERB_MODULES) before it reads its config, so that loading stays start-up
+work and no module runs inside a campaign: its own stokesbc submodule, which
+imports the submodules it needs, and numpy.random for the verbs that draw
+random numbers (verify-symbols, verify-traces, energy-audit).  numpy.random
+brings in secrets and hashlib and with them OpenSSL's libcrypto: about 12 ms
+and 6 MB of resident memory (4 MB of it libcrypto) on a 2-vCPU x86-64 host,
+none of which solve or run-ns uses.  verify-symbols runs no submodule but
+errors and symbols, so it compiles or reads no other.
 
 Determinism contract: identical config + seed produce byte-identical output
 files, whatever --jobs says.  A user-set OPENBLAS_NUM_THREADS is kept, and
@@ -41,10 +46,12 @@ Exit codes: 0 success, 1 tolerance breach (or non-converged run),
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import sys
+from importlib import import_module
 from typing import NoReturn
 
 # OpenBLAS reads this once, when numpy loads it.  Every product in a campaign
@@ -60,26 +67,14 @@ import numpy as np  # noqa: E402
 import numpy.fft  # noqa: E402, F401
 
 from . import __version__  # noqa: E402
-from .energy import classify_bc  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     InvalidModeError,
     QuadratureBudgetError,
     SingularModeError,
     StokesbcError,
-)
-from .halfspace import (  # noqa: E402
-    GridSpec,
     canonical_json,
-    field_manifest,
-    solve_mode,
-    synthesize_field,
-    write_field_csv,
-    write_manifest,
 )
-from .navier_stokes import NsStepper, run_simulation, stream_function_field  # noqa: E402
-from .parabolic import _RELATION_ALPHAS, verify_trace_relations  # noqa: E402
-from .quadrature import QuadratureCfg  # noqa: E402
 from .symbols import (  # noqa: E402
     ALL_BCS,
     SYMBOL_BCS,
@@ -91,6 +86,39 @@ from .symbols import (  # noqa: E402
     derive_mode,
     generic_inverse,
 )
+
+
+def _lazy_import(name: str) -> None:
+    """Register the submodule stokesbc.<name> in sys.modules and on the
+    package without running it: LazyLoader runs it on first attribute
+    access, and importing it (an import statement or import_module) reads
+    one.  A submodule already imported is left as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+# every submodule but errors and symbols; perfbench's tracer looks them all
+# up in sys.modules after importing this module
+for _name in (
+    "profiles",
+    "quadrature",
+    "grids",
+    "elliptic",
+    "halfspace",
+    "parabolic",
+    "energy",
+    "navier_stokes",
+):
+    _lazy_import(_name)
+
+from . import energy, halfspace, navier_stokes, parabolic, quadrature  # noqa: E402
 
 #: number of sweep chunks; each chunk keys its own random stream, so the
 #: modes drawn depend on the seed and the chunk alone.
@@ -236,7 +264,7 @@ def _require_int(cfg: dict, key: str, *, minimum: int | None = None, path: str =
     return val
 
 
-def _wavenumber(grid: GridSpec, k: int, where: str) -> float:
+def _wavenumber(grid: halfspace.GridSpec, k: int, where: str) -> float:
     """grid.wavenumber(k) for the harmonic k read from where; a k whose
     wavenumber 2 pi k / x_length is not a finite float is a config error."""
     try:
@@ -291,9 +319,10 @@ def _load_config(command: str, config_path: str | None, seed: int | None) -> dic
 
 def _map_ordered(fn, tasks, jobs: int) -> list:
     """fn over tasks, in task order, on this thread (jobs is accepted and
-    ignored).  verify-traces maps its sections through it, the one caller
-    left; it stays a named function because perfbench's tracer replaces
-    cli._map_ordered by name to count and time the tasks."""
+    ignored).  verify-traces maps its sections through it and energy-audit
+    its boundary-condition pairs; it stays a named function because
+    perfbench's tracer replaces cli._map_ordered by name to count and time
+    the tasks."""
     return [fn(t) for t in tasks]
 
 
@@ -553,12 +582,12 @@ def _traces_section(task):
         labels, batch = _draw_chunks(cfg, chunks, (ri, alpha + 1))
     except InvalidModeError as exc:
         raise InvalidModeError(f"{exc} of {relation} alpha={alpha:+d}") from None
-    qcfg = QuadratureCfg(
+    qcfg = quadrature.QuadratureCfg(
         rel_tol=cfg["quadrature"]["rel_tol"],
         truncation_multiplier=cfg["quadrature"]["truncation_multiplier"],
         max_subdivisions=cfg["quadrature"]["max_subdivisions"],
     )
-    return labels, verify_trace_relations(
+    return labels, parabolic.verify_trace_relations(
         batch, alpha, relation, cfg=qcfg, rel_tol=cfg["rel_tol"]
     )
 
@@ -569,11 +598,10 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     relations = cfg["relations"]
     if not isinstance(relations, (list, tuple)) or not relations:
         raise ConfigError("'relations' must be a non-empty list")
+    alphas = parabolic._RELATION_ALPHAS
     for rel in relations:
-        if rel not in _RELATION_ALPHAS:
-            raise ConfigError(
-                f"unknown relation {rel!r}; choose from {sorted(_RELATION_ALPHAS)}"
-            )
+        if rel not in alphas:
+            raise ConfigError(f"unknown relation {rel!r}; choose from {sorted(alphas)}")
     q = cfg["quadrature"]
     _require_number(q, "rel_tol", positive=True, path="quadrature")
     _require_number(q, "truncation_multiplier", positive=True, path="quadrature")
@@ -582,7 +610,7 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     tasks = [
         (relation, alpha, ri, cfg)
         for ri, relation in enumerate(relations)
-        for alpha in _RELATION_ALPHAS[relation]
+        for alpha in alphas[relation]
     ]
     header = [
         "relation",
@@ -671,7 +699,7 @@ def _bc_from_config(entry, where: str) -> BcSpec:
     return BcSpec(entry["alpha"], entry["beta"])
 
 
-def _grid_from_config(cfg: dict) -> GridSpec:
+def _grid_from_config(cfg: dict) -> halfspace.GridSpec:
     g = cfg["grid"]
     _require_number(g, "x_length", positive=True, path="grid")
     _require_int(g, "x_count", minimum=1, path="grid")
@@ -681,7 +709,7 @@ def _grid_from_config(cfg: dict) -> GridSpec:
     if g["y_kind"] not in ("uniform", "graded", "cheb"):
         raise ConfigError("grid.y_kind must be 'uniform', 'graded' or 'cheb'")
     try:
-        return GridSpec(
+        return halfspace.GridSpec(
             x_length=float(g["x_length"]),
             x_count=int(g["x_count"]),
             y_max=float(g["y_max"]),
@@ -735,12 +763,12 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
             msg = str(exc).removesuffix(" at mode 0")
             raise ConfigError(f"'{where}.k' gives an inadmissible mode: {msg}") from exc
         try:
-            contributions[k] = solve_mode(mode, bc, h_w)
+            contributions[k] = halfspace.solve_mode(mode, bc, h_w)
         except SingularModeError as exc:
             raise ConfigError(f"'{where}.k' gives an unsolvable mode: {exc}") from exc
         data.append((k, h_w))
 
-    field = synthesize_field(constants, contributions, grid)
+    field = halfspace.synthesize_field(constants, contributions, grid)
 
     y_samples = np.linspace(0.0, grid.y_max, n_samples)
     mode_rows = []
@@ -763,9 +791,9 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
             )
         )
 
-    write_field_csv(os.path.join(out_dir, "field.csv"), field)
-    manifest = field_manifest(field, "field.csv", config=cfg)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    halfspace.write_field_csv(os.path.join(out_dir, "field.csv"), field)
+    manifest = halfspace.field_manifest(field, "field.csv", config=cfg)
+    halfspace.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
     header = ["k", "momentum", "divergence", "datum_normal", "datum_tangential"]
     _write_csv(os.path.join(out_dir, "solve_residuals.csv"), header, mode_rows)
@@ -804,7 +832,7 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
     specs = [_bc_from_config(entry, f"bcs[{i}]") for i, entry in enumerate(bcs)]
 
     def _one(bc: BcSpec):
-        return classify_bc(
+        return energy.classify_bc(
             bc,
             rho=constants.rho,
             mu=constants.mu,
@@ -874,8 +902,14 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
         raise ConfigError("run-ns requires grid.y_kind = 'cheb'")
     init = cfg["initial"]
     _require_number(init, "amplitude", path="initial")
-    _require_int(init, "k", minimum=1, path="initial")
-    _wavenumber(grid, init["k"], "initial.k")
+    k = _require_int(init, "k", minimum=1, path="initial")
+    # the march keeps the harmonics below the Nyquist one: a higher k would
+    # be dropped or aliased onto another harmonic
+    if 2 * k >= grid.x_count:
+        raise ConfigError(
+            f"'initial.k' must be below grid.x_count / 2 = {grid.x_count / 2:g}, got {k}"
+        )
+    _wavenumber(grid, k, "initial.k")
     _require_number(init, "decay", positive=True, path="initial")
     dt = _require_number(cfg, "dt", positive=True)
     n_steps = _require_int(cfg, "n_steps", minimum=1)
@@ -885,11 +919,11 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
     if dt_min is not None:
         dt_min = _require_number(cfg, "dt_min", positive=True)
 
-    initial = stream_function_field(
-        constants, grid, float(init["amplitude"]), k=int(init["k"]), decay=float(init["decay"])
+    initial = navier_stokes.stream_function_field(
+        constants, grid, float(init["amplitude"]), k=k, decay=float(init["decay"])
     )
-    stepper = NsStepper(constants, grid)
-    result = run_simulation(
+    stepper = navier_stokes.NsStepper(constants, grid)
+    result = navier_stokes.run_simulation(
         stepper,
         initial,
         dt,
@@ -927,10 +961,10 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "energy.csv"), header, rows)
 
     final_field = result.states[-1].field
-    write_field_csv(os.path.join(out_dir, "final_field.csv"), final_field)
-    write_manifest(
+    halfspace.write_field_csv(os.path.join(out_dir, "final_field.csv"), final_field)
+    halfspace.write_manifest(
         os.path.join(out_dir, "final_manifest.json"),
-        field_manifest(final_field, "final_field.csv", config=cfg),
+        halfspace.field_manifest(final_field, "final_field.csv", config=cfg),
     )
 
     completed = result.status == "completed"
@@ -999,8 +1033,17 @@ _HELP = {
     ),
 }
 
-#: the verbs that draw random numbers; see the module docstring
-_DRAWING_VERBS = ("verify-symbols", "verify-traces", "energy-audit")
+#: the modules each verb loads before it reads its config, so that loading
+#: them counts as start-up rather than as part of the campaign: numpy.random
+#: for the verbs that draw, and the stokesbc submodule the verb runs, which
+#: loads the submodules it imports (see the module docstring)
+_VERB_MODULES = {
+    "verify-symbols": ("numpy.random",),
+    "verify-traces": ("numpy.random", "stokesbc.parabolic"),
+    "solve": ("stokesbc.halfspace",),
+    "energy-audit": ("numpy.random", "stokesbc.energy"),
+    "run-ns": ("stokesbc.navier_stokes",),
+}
 
 
 def _config_file(path: str) -> str:
@@ -1058,9 +1101,8 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
 
 def _run(command: str, config_path, seed, jobs, out_dir) -> int:
     """Run the verb command; its exit code."""
-    if command in _DRAWING_VERBS:
-        # before the config is read, so that the import counts as start-up
-        import numpy.random  # noqa: F401
+    for name in _VERB_MODULES[command]:
+        import_module(name)
     try:
         cfg = _load_config(command, config_path, seed)
         if jobs is not None and jobs < 1:

@@ -1,8 +1,17 @@
-"""Shared exception types.
+"""Shared exception types, and the canonical JSON every report is written in.
 
-The CLI maps these onto its exit-code contract: configuration problems exit
-with 2, tolerance breaches with 1, and exhausted numerical budgets with 3.
+The CLI maps the exceptions onto its exit-code contract: configuration
+problems exit with 2, tolerance breaches with 1, and exhausted numerical
+budgets with 3.  canonical_json lives here, beside them, because every verb
+loads this module: writing a report loads nothing else.
 """
+
+import json
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, 2-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 class StokesbcError(Exception):

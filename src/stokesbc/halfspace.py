@@ -55,7 +55,7 @@ from .elliptic import (
     divergence_pressure_mode,
     solve_elliptic_mode,
 )
-from .errors import ProfileError, ZeroModeError
+from .errors import ProfileError, ZeroModeError, canonical_json
 from .grids import (
     cheb_lobatto,
     clenshaw_curtis_weights,
@@ -576,11 +576,6 @@ def read_field_csv(path) -> dict:
         "u_y": shaped[:, :, 3].copy(),
         "p": shaped[:, :, 4].copy(),
     }
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def field_manifest(field: SampledField, data_file: str, config: dict | None = None) -> dict:
