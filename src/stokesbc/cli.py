@@ -576,17 +576,12 @@ def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
 def _traces_section(task):
     """One (relation, alpha) section as one stack.  Returns the
     (chunk, index) label of every mode and the section's report."""
-    relation, alpha, ri, cfg = task
+    relation, alpha, ri, cfg, qcfg = task
     chunks = [(c, n) for c, n in enumerate(_chunk_counts(cfg["n_modes"])) if n > 0]
     try:
         labels, batch = _draw_chunks(cfg, chunks, (ri, alpha + 1))
     except InvalidModeError as exc:
         raise InvalidModeError(f"{exc} of {relation} alpha={alpha:+d}") from None
-    qcfg = quadrature.QuadratureCfg(
-        rel_tol=cfg["quadrature"]["rel_tol"],
-        truncation_multiplier=cfg["quadrature"]["truncation_multiplier"],
-        max_subdivisions=cfg["quadrature"]["max_subdivisions"],
-    )
     return labels, parabolic.verify_trace_relations(
         batch, alpha, relation, cfg=qcfg, rel_tol=cfg["rel_tol"]
     )
@@ -598,19 +593,21 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     relations = cfg["relations"]
     if not isinstance(relations, (list, tuple)) or not relations:
         raise ConfigError("'relations' must be a non-empty list")
-    alphas = parabolic._RELATION_ALPHAS
+    table = parabolic.TRACE_RELATIONS
     for rel in relations:
-        if rel not in alphas:
-            raise ConfigError(f"unknown relation {rel!r}; choose from {sorted(alphas)}")
+        if rel not in table:
+            raise ConfigError(f"unknown relation {rel!r}; choose from {sorted(table)}")
     q = cfg["quadrature"]
     _require_number(q, "rel_tol", positive=True, path="quadrature")
     _require_number(q, "truncation_multiplier", positive=True, path="quadrature")
     _require_int(q, "max_subdivisions", minimum=1, path="quadrature")
+    qcfg = quadrature.QuadratureCfg(**q)
 
+    # a section's stream key is the relation's index in the config's list
     tasks = [
-        (relation, alpha, ri, cfg)
+        (relation, alpha, ri, cfg, qcfg)
         for ri, relation in enumerate(relations)
-        for alpha in alphas[relation]
+        for alpha in table[relation][1]
     ]
     header = [
         "relation",
@@ -626,11 +623,11 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
     ]
     rows = []
     sections = []
-    for (relation, alpha, _, _), (labels, rep) in zip(
+    for (relation, alpha, *_), (labels, rep) in zip(
         tasks, _map_ordered(_traces_section, tasks, jobs)
     ):
-        for (chunk, idx), entry in zip(labels, rep.entries):
-            rows.append((relation, alpha, chunk, idx, *(entry[k] for k in header[4:])))
+        columns = zip(*(getattr(rep, name).tolist() for name in header[4:]))
+        rows += [(relation, alpha, *label, *row) for label, row in zip(labels, columns)]
         sections.append(
             {
                 "relation": relation,
@@ -641,9 +638,9 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
                 "passed": rep.passed,
                 "counters": {
                     "quadrature_intervals": {
-                        "sum": sum(rep.intervals),
-                        "min": min(rep.intervals),
-                        "max": max(rep.intervals),
+                        "sum": int(rep.intervals.sum()),
+                        "min": int(rep.intervals.min()),
+                        "max": int(rep.intervals.max()),
                     },
                     "panel_evals": rep.panel_evals,
                     "adaptive_rounds": rep.rounds,

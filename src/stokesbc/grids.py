@@ -8,7 +8,7 @@ the *map* fixed, which is what clean Richardson/order studies require.
 
 fd_weights implements the standard recursive computation of finite-difference
 weights on arbitrary nodes (Fornberg's algorithm); diff_matrix assembles
-dense differentiation matrices from sliding stencils.  cheb_lobatto returns
+dense first-derivative matrices from sliding stencils.  cheb_lobatto returns
 Chebyshev-Gauss-Lobatto points with the usual dense collocation derivative,
 and clenshaw_curtis_weights the quadrature weights on the same points.
 """
@@ -72,8 +72,8 @@ def fd_weights(x: np.ndarray, x0: float, max_order: int) -> np.ndarray:
     return w
 
 
-def diff_matrix(y: np.ndarray, deriv: int = 1, npts: int = 5) -> np.ndarray:
-    """Dense differentiation matrix on nodes y from sliding npts-stencils."""
+def diff_matrix(y: np.ndarray, npts: int = 5) -> np.ndarray:
+    """Dense first-derivative matrix on nodes y from sliding npts-stencils."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     if npts > n:
@@ -83,8 +83,7 @@ def diff_matrix(y: np.ndarray, deriv: int = 1, npts: int = 5) -> np.ndarray:
     for i in range(n):
         lo = min(max(i - half, 0), n - npts)
         idx = slice(lo, lo + npts)
-        w = fd_weights(y[idx], y[i], deriv)
-        d[i, idx] = w[deriv]
+        d[i, idx] = fd_weights(y[idx], y[i], 1)[1]
     return d
 
 

@@ -99,7 +99,6 @@ class ModeSolution:
     bc: BcSpec
     velocity: VectorModeProfile
     pressure: ScalarModeProfile
-    coefficients: tuple | None = None  # (z_v, z_w) when in ansatz form
 
     def __post_init__(self) -> None:
         if tuple(self.velocity.xi) != tuple(self.mode.xi):
@@ -118,7 +117,7 @@ class ModeSolution:
         m, r = mode.rate_fast, mode.rate_slow
         rows = [ScalarModeProfile(mode.xi, ((a, m, 0), (b, r, 0))) for a, b in zip(fast, slow)]
         velocity = VectorModeProfile(mode.xi, rows[:-2], rows[-2])
-        return cls(mode, bc, velocity, rows[-1], coefficients=(z_v, z_w))
+        return cls(mode, bc, velocity, rows[-1])
 
     # -- residual calculus ------------------------------------------------------
 
@@ -407,7 +406,7 @@ class GridSpec:
             # y = y_max (1 - x) / 2 on the descending Lobatto nodes x
             d = (-2.0 / self.y_max) * cheb_lobatto(self.y_count - 1)[1]
         else:
-            d = diff_matrix(self.y_nodes(), 1, npts=5)
+            d = diff_matrix(self.y_nodes(), npts=5)
         d.flags.writeable = False
         return d
 

@@ -153,7 +153,7 @@ def nonlinearity(
     if method == "spectral":
         g = grad if grad is not None else _velocity_gradient(field)
     elif method == "fd":
-        stencil = diff_matrix(field.y, 1, npts=min(3, len(field.y)))
+        stencil = diff_matrix(field.y, npts=min(3, len(field.y)))
         g = np.stack(([_ddx_fd(c, field.grid.x_length) for c in u], u @ stencil.T))
     else:
         raise ValueError(f"method must be 'spectral' or 'fd', got {method!r}")

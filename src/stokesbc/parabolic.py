@@ -42,6 +42,11 @@ The resulting wall traces reproduce the closed trace relations
 for Neumann-driven (-d_y p(0) = h) resp. Dirichlet-driven pressures, with
 S^alpha the beta = +1 trace multiplier.  verify_trace_relations sweeps these
 identities with adaptive quadrature on the kernel side.
+
+Three tables hold these concepts: KERNEL_WEIGHTS maps each kernel kind to
+its weight c (K_v^- and K_w^- share one formula), ALPHA_KERNELS maps alpha
+to its (K_v, K_w) kinds, and TRACE_RELATIONS maps each relation to the beta
+of the pair whose trace multiplier it checks and the alphas it applies to.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ from .quadrature import QuadratureCfg, adaptive_integrate, adaptive_integrate_st
 from .symbols import BcSpec, ModeBatch, ModeParams, trace_multiplier
 
 __all__ = [
+    "KERNEL_WEIGHTS",
+    "ALPHA_KERNELS",
+    "TRACE_RELATIONS",
+    "REPORT_COLUMNS",
     "KernelSpec",
     "KernelApplication",
     "VerificationReport",
@@ -77,7 +86,29 @@ __all__ = [
     "verify_trace_relations",
 ]
 
-_KINDS = ("G", "G_plus", "G_minus", "Kv_plus", "Kv_minus", "Kw_plus", "Kw_minus")
+
+def _minus_weight(omega, az, rho_lam):
+    return -az * (omega + az) / rho_lam
+
+
+#: kernel kind -> its weight c on G_- in K = (1-c) G_+ + c G_-, as a function
+#: of (omega, |zeta|, rho lambda_eps)
+KERNEL_WEIGHTS = {
+    "G": lambda *_: 0.5,
+    "G_plus": lambda *_: 0.0,
+    "G_minus": lambda *_: 1.0,
+    "Kv_plus": lambda omega, az, _: az * (omega + az) / (omega**2 + az**2),
+    "Kv_minus": _minus_weight,
+    "Kw_plus": lambda omega, az, _: -az * (omega - az) / (omega**2 + az**2),
+    "Kw_minus": _minus_weight,
+}
+
+#: alpha -> the kinds of its velocity kernels (K_v, K_w)
+ALPHA_KERNELS = {
+    0: ("G_minus", "G_plus"),
+    1: ("Kv_plus", "Kw_plus"),
+    -1: ("Kv_minus", "Kw_minus"),
+}
 
 
 @dataclass(frozen=True)
@@ -88,30 +119,16 @@ class KernelSpec:
     mode: ModeParams
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KERNEL_WEIGHTS:
+            raise ValueError(f"kind must be one of {tuple(KERNEL_WEIGHTS)}, got {self.kind!r}")
 
 
 def kernel_weight(kind: str, mode: ModeParams | ModeBatch):
     """Weight c on G_- in K = (1-c) G_+ + c G_- for the given kernel kind
     (per mode, for a ModeBatch)."""
-    omega = mode.omega
-    az = mode.abs_zeta
-    if kind == "G":
-        return 0.5
-    if kind == "G_plus":
-        return 0.0
-    if kind == "G_minus":
-        return 1.0
-    if kind == "Kv_plus":
-        return az * (omega + az) / (omega**2 + az**2)
-    if kind == "Kv_minus":
-        return -az * (omega + az) / mode.rho_lam
-    if kind == "Kw_plus":
-        return -az * (omega - az) / (omega**2 + az**2)
-    if kind == "Kw_minus":
-        return -az * (omega + az) / mode.rho_lam
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    if kind not in KERNEL_WEIGHTS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    return KERNEL_WEIGHTS[kind](mode.omega, mode.abs_zeta, mode.rho_lam)
 
 
 def _image_coefficient(kind: str, mode: ModeParams | ModeBatch):
@@ -270,10 +287,6 @@ def apply_kernel(
 # kernel-route mode solve
 # ---------------------------------------------------------------------------
 
-_KV_BY_ALPHA = {0: "G_minus", 1: "Kv_plus", -1: "Kv_minus"}
-_KW_BY_ALPHA = {0: "G_plus", 1: "Kw_plus", -1: "Kw_minus"}
-
-
 def _check_harmonic(pressure: ScalarModeProfile) -> None:
     r = pressure.abs_xi
     if r == 0.0:
@@ -302,7 +315,7 @@ def parabolic_solve_mode(
     the interior equations with the alpha tangential row and the divergence
     row, and i xi.vhat + d_y what = 0 holds identically.
     """
-    if alpha not in (-1, 0, 1):
+    if alpha not in ALPHA_KERNELS:
         raise ValueError(f"alpha must be in {{-1,0,+1}}, got {alpha}")
     if pressure_bc_kind not in ("dirichlet", "neumann"):
         raise ValueError(
@@ -312,8 +325,7 @@ def parabolic_solve_mode(
         raise ValueError(f"mode/pressure xi mismatch: {mode.xi} vs {pressure.xi}")
     _check_harmonic(pressure)
 
-    kv = KernelSpec(_KV_BY_ALPHA[alpha], mode)
-    kw = KernelSpec(_KW_BY_ALPHA[alpha], mode)
+    kv, kw = (KernelSpec(kind, mode) for kind in ALPHA_KERNELS[alpha])
     v_base = _kernel_closed_form(kv, pressure)
     tangential = tuple((-1j * xij) * v_base for xij in mode.xi)
     w = -1.0 * _kernel_closed_form(kw, pressure.derivative())
@@ -425,43 +437,68 @@ def oracle_fd_solve(
 # trace-relation verification sweep
 # ---------------------------------------------------------------------------
 
-_RELATION_ALPHAS = {"T00": (0,), "T10": (1, -1), "T11": (0, 1, -1)}
+#: relation -> (beta of the pair whose trace multiplier it checks, the
+#: alphas it applies to); beta = 0 drives the kernels by the Neumann
+#: extension of the datum, beta = +1 by its Dirichlet extension
+TRACE_RELATIONS = {"T00": (0, (0,)), "T10": (0, (1, -1)), "T11": (1, (0, 1, -1))}
+
+#: the per-mode columns of a VerificationReport beside intervals, and the
+#: keys of its worst mode
+REPORT_COLUMNS = ("abs_xi", "lambda_re", "lambda_im", "rho", "mu", "epsilon", "rel_error")
+
+_NO_MODES = ModeBatch(*(np.zeros(0) for _ in range(3)), np.zeros(0, complex), np.zeros((0, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of a trace-relation sweep.
+    """Outcome of a trace-relation sweep, as one array entry per mode.
 
-    intervals holds each mode's final quadrature partition size (parallel to
-    entries); panel_evals, rounds and zero_values count the GK15 panels
-    evaluated, the refinement rounds of the stacked quadrature and the modes
-    whose quadrature returned exactly 0.
+    The REPORT_COLUMNS arrays and intervals (each mode's final quadrature
+    partition size) are parallel; panel_evals, rounds and zero_values count
+    the GK15 panels evaluated, the refinement rounds of the stacked
+    quadrature and the modes whose quadrature returned exactly 0.
     """
 
     relation: str
     alpha: int
     rel_tol: float
-    n_modes: int
-    max_rel_error: float
-    passed: bool
-    entries: tuple[dict, ...] = field(repr=False, default=())
-    intervals: tuple[int, ...] = field(repr=False, default=())
+    abs_xi: np.ndarray = field(repr=False)
+    lambda_re: np.ndarray = field(repr=False)
+    lambda_im: np.ndarray = field(repr=False)
+    rho: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    epsilon: np.ndarray = field(repr=False)
+    rel_error: np.ndarray = field(repr=False)
+    intervals: np.ndarray = field(repr=False)
     panel_evals: int = 0
     rounds: int = 0
     zero_values: int = 0
 
     @property
+    def n_modes(self) -> int:
+        return len(self.rel_error)
+
+    @property
+    def max_rel_error(self) -> float:
+        """The largest rel_error (0 for no modes; NaN if one is NaN)."""
+        return float(np.max(self.rel_error, initial=0.0))
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.rel_tol
+
+    @property
     def worst(self) -> dict:
-        """The entry of largest rel_error.  Entries within a relative 1e-12
-        of the largest tie, and the first of them is the worst, so that a
-        last-bit change in the errors does not rename it; a NaN error is
-        the worst of all."""
-        if not self.entries:
+        """The REPORT_COLUMNS of the mode of largest rel_error.  Modes within
+        a relative 1e-12 of the largest tie, and the first of them is the
+        worst, so that a last-bit change in the errors does not rename it; a
+        NaN error is the worst of all."""
+        if not self.n_modes:
             return {}
-        errors = np.array([e["rel_error"] for e in self.entries])
-        top = np.max(errors)
+        errors, top = self.rel_error, self.max_rel_error
         ties = np.isnan(errors) if np.isnan(top) else errors >= top - 1.0e-12 * top
-        return self.entries[int(np.argmax(ties))]
+        i = int(np.argmax(ties))
+        return {name: getattr(self, name)[i].item() for name in REPORT_COLUMNS}
 
 
 def _unit_datum_source(batch: ModeBatch, dirichlet: bool):
@@ -512,61 +549,43 @@ def verify_trace_relations(
     """Check one closed trace relation against kernel quadrature.
 
     The relations are linear in the wall datum, so each is checked at the
-    unit datum.  relation 'T00' (alpha = 0) and 'T10' (alpha = +-1) drive
-    the kernels by the Neumann-extended pressure of the datum
-    (-d_y p(0) = 1) and test multiplier * [what](0) = 1 with the beta = 0
-    trace multiplier.  'T11' (any alpha) drives by the Dirichlet extension
-    (p(0) = 1) and tests S^alpha * (-2 mu [d_y what](0) + [p](0)) = 1.
-    modes is a ModeBatch or ModeParams of one dimension; all modes are
-    integrated as one stack (adaptive_integrate_stack).
+    unit datum, with the beta and the alphas TRACE_RELATIONS gives it.
+    beta = 0 ('T00' at alpha = 0, 'T10' at alpha = +-1) drives the kernels
+    by the Neumann-extended pressure of the datum (-d_y p(0) = 1) and tests
+    multiplier * [what](0) = 1.  beta = +1 ('T11', any alpha) drives by the
+    Dirichlet extension (p(0) = 1) and tests
+    S^alpha * (-2 mu [d_y what](0) + [p](0)) = 1.  modes is a ModeBatch or
+    ModeParams of one dimension, possibly none; all modes are integrated as
+    one stack (adaptive_integrate_stack).
     """
-    if relation not in _RELATION_ALPHAS:
-        raise ValueError(f"relation must be one of {sorted(_RELATION_ALPHAS)}")
-    if alpha not in _RELATION_ALPHAS[relation]:
+    if relation not in TRACE_RELATIONS:
+        raise ValueError(f"relation must be one of {sorted(TRACE_RELATIONS)}")
+    beta, alphas = TRACE_RELATIONS[relation]
+    if alpha not in alphas:
         raise ValueError(f"relation {relation} does not apply to alpha = {alpha}")
     if cfg is None:
         cfg = QuadratureCfg()
-    if isinstance(modes, ModeBatch):
-        batch = modes
-    else:
+    if not isinstance(modes, ModeBatch):
         modes = list(modes)
-        if not modes:
-            return VerificationReport(relation, alpha, rel_tol, 0, 0.0, True)
-        batch = ModeBatch.from_modes(modes)
+        modes = ModeBatch.from_modes(modes) if modes else _NO_MODES
 
-    dirichlet = relation == "T11"
-    quad = _wall_traces(batch, _KW_BY_ALPHA[alpha], dirichlet, cfg)
-    if dirichlet:
-        # [d_y what](0) = -quad; the Dirichlet extension has p(0) = 1
-        stress = 2.0 * batch.mu * quad.value + 1.0
-        recovered = trace_multiplier(batch, BcSpec(alpha, 1)) * stress
-    else:
-        # [what](0) = -quad
-        recovered = trace_multiplier(batch, BcSpec(alpha, 0)) * -quad.value
-    rel_error = np.abs(recovered - 1.0)
-
-    columns = {
-        "abs_xi": batch.abs_xi,
-        "lambda_re": batch.lam.real,
-        "lambda_im": batch.lam.imag,
-        "rho": batch.rho,
-        "mu": batch.mu,
-        "epsilon": batch.epsilon,
-        "rel_error": rel_error,
-    }
-    entries = tuple(
-        dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))
-    )
-    max_err = float(np.max(rel_error))
+    quad = _wall_traces(modes, ALPHA_KERNELS[alpha][1], beta == 1, cfg)
+    # the wall trace the multiplier maps to the datum: [what](0) = -quad for
+    # beta = 0; for beta = +1, [d_y what](0) = -quad and p(0) = 1
+    trace = 2.0 * modes.mu * quad.value + 1.0 if beta else -quad.value
+    recovered = trace_multiplier(modes, BcSpec(alpha, beta)) * trace
     return VerificationReport(
-        relation=relation,
-        alpha=alpha,
-        rel_tol=rel_tol,
-        n_modes=len(entries),
-        max_rel_error=max_err,
-        passed=max_err < rel_tol,
-        entries=entries,
-        intervals=tuple(int(n) for n in quad.intervals),
+        relation,
+        alpha,
+        rel_tol,
+        abs_xi=modes.abs_xi,
+        lambda_re=modes.lam.real,
+        lambda_im=modes.lam.imag,
+        rho=modes.rho,
+        mu=modes.mu,
+        epsilon=modes.epsilon,
+        rel_error=np.abs(recovered - 1.0),
+        intervals=quad.intervals,
         panel_evals=int(quad.panel_evals.sum()),
         rounds=quad.rounds,
         zero_values=int(np.count_nonzero(quad.value == 0.0)),

@@ -234,7 +234,7 @@ def test_criterion_08_energy_balance_convergence():
         mode = derive_mode(constants, 0.3j, (grid.wavenumber(1),))
         sol = solve_mode(mode, bc, 1.0)
         c = cmath.exp(mode.lambda_eps * t)
-        scaled = ModeSolution(mode, bc, c * sol.velocity, c * sol.pressure, sol.coefficients)
+        scaled = ModeSolution(mode, bc, c * sol.velocity, c * sol.pressure)
         return synthesize_field(constants, {1: scaled}, grid)
 
     ladder = ((65, 0.4), (129, 0.2), (257, 0.1))  # dt and grid refine together

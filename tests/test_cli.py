@@ -552,17 +552,22 @@ def test_default_verify_traces_counters_are_pinned(runner, tmp_path):
     assert [sum(c) for c in zip(*counters.values())] == [8851, 15902, 30]
 
 
-def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path):
+@pytest.mark.parametrize("relations", [["T00", "T11"], ["T11", "T00"]], ids="-".join)
+def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path, relations):
     """A section checks all its chunks as one stack; every row's rel_error
-    is, bit for bit, what its chunk returns when checked on its own."""
-    cfg = {"n_modes": 40, "relations": ["T00", "T11"]}
+    is, bit for bit, what its chunk returns when checked on its own.  The
+    sections run in the config's order, and a section's modes are drawn
+    from the streams of its relation's index in that list."""
+    cfg = {"n_modes": 40, "relations": relations}
     result, out = invoke(runner, "verify-traces", tmp_path, cfg)
     assert result.exit_code == 0, result.output
     resolved = json.loads((out / "verify_traces.json").read_text())["config"]
     qcfg = QuadratureCfg(**resolved["quadrature"])
     counts = cli._chunk_counts(resolved["n_modes"])
     alone = {}
-    for row in read_rows(out / "verify_traces.csv"):
+    rows = read_rows(out / "verify_traces.csv")
+    assert list(dict.fromkeys(row["relation"] for row in rows)) == relations
+    for row in rows:
         relation, alpha, chunk = row["relation"], int(row["alpha"]), int(row["chunk"])
         key = (relation, alpha, chunk)
         if key not in alone:
@@ -570,9 +575,9 @@ def test_verify_traces_rows_are_their_chunks_checked_alone(runner, tmp_path):
             rng = np.random.default_rng([resolved["seed"], ri, alpha + 1, chunk])
             modes = [cli._draw_constants(rng, resolved) for _ in range(counts[chunk])]
             alone[key] = verify_trace_relations(modes, alpha, relation, cfg=qcfg)
-        entry = alone[key].entries[int(row["index"])]
-        assert float(row["abs_xi"]) == entry["abs_xi"]
-        assert float(row["rel_error"]) == entry["rel_error"]
+        i = int(row["index"])
+        assert float(row["abs_xi"]) == alone[key].abs_xi[i]
+        assert float(row["rel_error"]) == alone[key].rel_error[i]
     # T00 at alpha 0 and T11 at alpha 0, +-1, each over 16 chunks of 2-3 modes
     assert len(alone) == 4 * 16
 

@@ -146,7 +146,7 @@ def exact_series(dt, ny, t0=0.1):
     out = []
     for t in (t0 - dt, t0, t0 + dt):
         c = cmath.exp(mode.lambda_eps * t)
-        scaled = ModeSolution(mode, sol.bc, c * sol.velocity, c * sol.pressure, sol.coefficients)
+        scaled = ModeSolution(mode, sol.bc, c * sol.velocity, c * sol.pressure)
         out.append(synthesize_field(CONSTANTS, {1: scaled}, grid))
     return out
 

@@ -177,7 +177,7 @@ def test_cheb_grid_calculus_is_spectral():
 def test_stencil_grid_calculus_is_trapezoid_and_five_point(grid):
     y = grid.y_nodes()
     assert np.array_equal(grid.y_weights, trapezoid_weights(y))
-    assert np.array_equal(grid.y_derivative, diff_matrix(y, 1, npts=5))
+    assert np.array_equal(grid.y_derivative, diff_matrix(y, npts=5))
     assert grid.x_weight == grid.x_length / len(grid.x_nodes())
 
 

@@ -29,7 +29,9 @@ from stokesbc import (
     verify_trace_relations,
 )
 from stokesbc.parabolic import (
-    _KW_BY_ALPHA,
+    ALPHA_KERNELS,
+    REPORT_COLUMNS,
+    TRACE_RELATIONS,
     VerificationReport,
     _kernel_values,
     _wall_traces,
@@ -176,19 +178,34 @@ def test_trace_relations_smoke(relation, alphas):
         report = verify_trace_relations(modes, alpha, relation, rel_tol=1e-7)
         assert report.passed
         assert report.n_modes == 4
-        assert len(report.entries) == 4
         assert report.max_rel_error < 1e-7
-        assert report.worst in report.entries
-        for entry in report.entries:
-            assert set(entry) >= {
-                "abs_xi", "lambda_re", "lambda_im", "rho", "mu", "epsilon", "rel_error",
-            }
+        assert report.intervals.shape == (4,)
+        worst = report.worst
+        assert list(worst) == [
+            "abs_xi", "lambda_re", "lambda_im", "rho", "mu", "epsilon", "rel_error",
+        ]
+        for name, value in worst.items():
+            assert type(value) is float
+            assert value in getattr(report, name).tolist()
+
+
+@pytest.mark.parametrize("empty", [[], "batch"])
+def test_no_modes_give_an_empty_passing_report(empty):
+    if empty == "batch":
+        empty = ModeBatch(*(np.zeros(0) for _ in range(3)), np.zeros(0, complex), np.zeros((0, 1)))
+    for relation, (_, alphas) in TRACE_RELATIONS.items():
+        for alpha in alphas:
+            report = verify_trace_relations(empty, alpha, relation)
+            assert report.n_modes == 0 and report.max_rel_error == 0.0
+            assert report.passed and report.worst == {}
+            assert report.intervals.shape == (0,) and report.panel_evals == 0
 
 
 def _report_of_errors(*errors):
-    entries = tuple({"abs_xi": float(i), "rel_error": e} for i, e in enumerate(errors))
-    top = max(errors, default=0.0)
-    return VerificationReport("T00", 0, 1e-7, len(entries), top, True, entries=entries)
+    n = len(errors)
+    columns = {name: np.zeros(n) for name in REPORT_COLUMNS}
+    columns.update(abs_xi=np.arange(float(n)), rel_error=np.array(errors, dtype=float))
+    return VerificationReport("T00", 0, 1e-7, **columns, intervals=np.ones(n, dtype=int))
 
 
 def test_worst_breaks_last_bit_ties_by_the_lowest_index():
@@ -276,10 +293,10 @@ def _sweep_modes():
 def test_trace_sweep_equals_its_modes_one_at_a_time(relation, alpha):
     modes = _sweep_modes()
     stack = verify_trace_relations(modes, alpha, relation)
-    for mode, entry, intervals in zip(modes, stack.entries, stack.intervals):
+    for i, mode in enumerate(modes):
         one = verify_trace_relations([mode], alpha, relation)
-        assert one.entries[0]["rel_error"] == entry["rel_error"]
-        assert one.intervals == (intervals,)
+        assert one.rel_error.tolist() == [stack.rel_error[i]]
+        assert one.intervals.tolist() == [stack.intervals[i]]
 
 
 def test_stacked_wall_traces_match_the_scalar_loop():
@@ -289,12 +306,13 @@ def test_stacked_wall_traces_match_the_scalar_loop():
     modes = _sweep_modes()
     batch = ModeBatch.from_modes(modes)
     for relation, alpha in WALL_CHECKS:
-        dirichlet = relation == "T11"
-        quad = _wall_traces(batch, _KW_BY_ALPHA[alpha], dirichlet, cfg)
+        dirichlet = TRACE_RELATIONS[relation][0] == 1
+        kind = ALPHA_KERNELS[alpha][1]
+        quad = _wall_traces(batch, kind, dirichlet, cfg)
         kernel = eval_kernel_dy if dirichlet else eval_kernel
         extend = dirichlet_extend_mode if dirichlet else neumann_extend_mode
         for mode, value in zip(modes, quad.value):
-            spec = KernelSpec(_KW_BY_ALPHA[alpha], mode)
+            spec = KernelSpec(kind, mode)
             source = extend(mode.xi, 1.0).derivative()
             upper = cfg.truncation_multiplier / (mode.rate_fast.real + mode.abs_xi)
             ref, _, _ = reference_adaptive_integrate(
