@@ -8,6 +8,13 @@ Five verbs, all sharing the global flags --config/--seed/--jobs/--out:
     stokesbc energy-audit     empirical boundary-power classification
     stokesbc run-ns           nonlinear backward-Euler/Picard time march
 
+solve runs all of its modes as one ModeBatch: one admissibility check, one
+closed-form solve of the boundary symbols, residuals in closed form per
+decay rate, and the field sampled and transformed in blocks of y nodes.  A
+bad mode is named by its entry, 'modes[i].k', and the "poorly conditioned"
+symbol warning comes once per solve, for its worst mode, with a
+"(j of N modes)" count.
+
 Configuration is JSON, strictly validated: unknown keys are rejected, and
 every verb documents its defaults in _DEFAULTS below.  --seed overrides the
 config seed.  --jobs is validated (an integer >= 1) but has no effect:
@@ -85,6 +92,7 @@ from .symbols import (  # noqa: E402
     closed_form_inverse,
     derive_mode,
     generic_inverse,
+    solve_coefficients,
 )
 
 
@@ -733,6 +741,8 @@ def _constants_from_config(cfg: dict, *, epsilon_key: bool = True) -> FluidConst
 def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
     constants = _constants_from_config(cfg)
     lam = _parse_complex(cfg["lambda"], "lambda")
+    if lam.real < 0.0:
+        raise ConfigError(f"'lambda' must have Re lambda >= 0, got {lam}")
     bc = _bc_from_config(cfg["bc"], "bc")
     grid = _grid_from_config(cfg)
     n_samples = _require_int(cfg, "residual_samples", minimum=2)
@@ -741,8 +751,7 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
 
     if not isinstance(cfg["modes"], list):
         raise ConfigError("'modes' must be a list")
-    contributions = {}
-    data = []
+    data = {}  # k -> (h_w, xi), in entry order
     for i, entry in enumerate(cfg["modes"]):
         where = f"modes[{i}]"
         if not isinstance(entry, dict) or set(entry) - {"k", "h_w"}:
@@ -750,43 +759,36 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         k = entry.get("k")
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ConfigError(f"{where}.k must be an integer >= 1")
-        if k in contributions:
+        if k in data:
             raise ConfigError(f"duplicate mode k = {k}")
         h_w = _parse_complex(entry.get("h_w", 1.0), f"{where}.h_w")
-        try:
-            mode = derive_mode(constants, lam, (_wavenumber(grid, k, f"{where}.k"),))
-        except InvalidModeError as exc:
-            # a one-mode batch: its "mode 0" is this entry, named instead
-            msg = str(exc).removesuffix(" at mode 0")
-            raise ConfigError(f"'{where}.k' gives an inadmissible mode: {msg}") from exc
-        try:
-            contributions[k] = halfspace.solve_mode(mode, bc, h_w)
-        except SingularModeError as exc:
-            raise ConfigError(f"'{where}.k' gives an unsolvable mode: {exc}") from exc
-        data.append((k, h_w))
+        data[k] = (h_w, _wavenumber(grid, k, f"{where}.k"))
 
-    field = halfspace.synthesize_field(constants, contributions, grid)
+    # every mode in one batch: its mode i is entry modes[i]
+    harmonics = list(data)
+    h_w = np.array([d[0] for d in data.values()], dtype=complex)
+    xi = np.array([d[1] for d in data.values()], dtype=float)
+    batch = ModeBatch.of_fluid(constants, lam, xi[:, None])
+    try:
+        batch.check_admissible()
+    except InvalidModeError as exc:
+        raise ConfigError(
+            f"'modes[{exc.index}].k' gives an inadmissible mode: {exc.reason}"
+        ) from exc
+    try:
+        z_v, z_w = solve_coefficients(batch, bc, h_w)
+    except SingularModeError as exc:
+        raise ConfigError(
+            f"'modes[{exc.index}].k' gives an unsolvable mode: {exc.reason}"
+        ) from exc
+    amps = halfspace.ansatz_amplitudes(batch, z_v, z_w)
 
     y_samples = np.linspace(0.0, grid.y_max, n_samples)
-    mode_rows = []
-    for k, h_w in data:
-        sol = contributions[k]
-        scale = max(
-            float(np.max(np.abs(sol.velocity.evaluate(y_samples)))), abs(h_w), 1.0e-300
-        )
-        momentum = float(np.max(np.abs(sol.momentum_residual().evaluate(y_samples))))
-        divergence = float(np.max(np.abs(sol.divergence()(y_samples))))
-        datum = abs(sol.normal_row() - h_w)
-        tangential = float(np.max(np.abs(sol.tangential_row())))
-        mode_rows.append(
-            (
-                k,
-                momentum / scale,
-                divergence / scale,
-                datum / max(abs(h_w), 1.0e-300),
-                tangential / scale,
-            )
-        )
+    residuals = halfspace.ansatz_residuals(batch, bc, amps, h_w, y_samples)
+    mode_rows = list(zip(harmonics, *residuals.tolist()))
+    field = halfspace.synthesize_field(
+        constants, harmonics, lambda y: halfspace.sample_ansatz(batch, amps, y), grid
+    )
 
     halfspace.write_field_csv(os.path.join(out_dir, "field.csv"), field)
     manifest = halfspace.field_manifest(field, "field.csv", config=cfg)

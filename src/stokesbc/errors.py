@@ -18,9 +18,8 @@ class StokesbcError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidModeError(StokesbcError):
-    """Mode parameters outside the admissible set (Re lambda < 0, nonpositive
-    constants, non-finite entries, ...).
+class ModeIndexedError(StokesbcError):
+    """An error about one mode of a ModeBatch.
 
     An error made by at_mode also says what failed (reason) and at which
     position of its ModeBatch (index), so that a caller which labels the
@@ -30,10 +29,15 @@ class InvalidModeError(StokesbcError):
     index: int | None = None
 
     @classmethod
-    def at_mode(cls, reason: str, index: int) -> "InvalidModeError":
+    def at_mode(cls, reason: str, index: int) -> "ModeIndexedError":
         exc = cls(f"{reason} at mode {index}")
         exc.reason, exc.index = reason, index
         return exc
+
+
+class InvalidModeError(ModeIndexedError):
+    """Mode parameters outside the admissible set (Re lambda < 0, nonpositive
+    constants, non-finite entries, ...)."""
 
 
 class ZeroModeError(StokesbcError):
@@ -41,7 +45,7 @@ class ZeroModeError(StokesbcError):
     xi = 0 (the mean mode needs its own 1-d treatment)."""
 
 
-class SingularModeError(StokesbcError):
+class SingularModeError(ModeIndexedError):
     """A closed-form inverse or solve was requested at a parameter point where
     the displayed formula is singular (e.g. xi = 0 for the no-slip symbol)."""
 

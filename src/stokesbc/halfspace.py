@@ -19,8 +19,11 @@ datum h_w; its solutions are exactly in the span of the two-rate ansatz
 
 with m = omega/sqrt(mu), r = |xi|, zeta = sqrt(mu) xi, kappa = rho sqrt(mu).
 ansatz_amplitudes writes these amplitudes out, for a whole ModeBatch at
-once; a ModeSolution reads them for its one mode, and the Navier-Stokes
-stepper for all of its modes.
+once; a ModeSolution reads them for its one mode as profiles.
+sample_ansatz evaluates them on nodes for the whole batch, bit for bit as
+the profiles evaluate, and ansatz_residuals audits them in closed form,
+rate by rate: the solve verb and the Navier-Stokes stepper use these two
+and build no profile.
 
 splitting_solve_mode handles full data (f, g, h_w) by the three-stage
 scheme: (1) a pressure built from the divergence datum (plus, for the
@@ -34,16 +37,17 @@ pressure is qbar + rho q_f + (stage-3 mode pressure), q_f the Dirichlet
 potential of the forcing split off by the zero-trace (Weyl-type)
 projection.
 
-The sampled-field layer turns dictionaries {k: mode solution} with
-xi_k = 2 pi k / L into real fields on a periodic-strip grid, and reads and
-writes them deterministically (CSV with columns x,y,u_x,u_y,p; canonical
-JSON manifests).
+The sampled-field layer turns harmonics k, with xi_k = 2 pi k / L, and
+their sampled profiles into real fields on a periodic-strip grid, and reads
+and writes them deterministically (CSV with columns x,y,u_x,u_y,p;
+canonical JSON manifests).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -75,6 +79,8 @@ __all__ = [
     "ModeSolution",
     "SplittingSolution",
     "ansatz_amplitudes",
+    "sample_ansatz",
+    "ansatz_residuals",
     "solve_mode",
     "splitting_solve_mode",
     "forward_data",
@@ -184,6 +190,76 @@ def ansatz_amplitudes(modes: ModeBatch, z_v: np.ndarray, z_w: np.ndarray) -> np.
     amps[1, nt] = modes.abs_zeta * z_w
     amps[1, nt + 1] = modes.kappa * modes.lambda_eps * z_w
     return amps
+
+
+def sample_ansatz(modes: ModeBatch, amps: np.ndarray, y) -> np.ndarray:
+    """The two-rate sums of the amplitudes amps on the nodes y.
+
+    amps is (2, C, N), as ansatz_amplitudes lays it out: [0] on e^{-m y},
+    [1] on e^{-r y}, for C components of the N modes.  Returns the
+    (C, N, len(y)) samples.  Each is summed as a profile evaluates its
+    terms: from zero, the slow term then the fast one, each rate through
+    numpy's complex exp, so a sample equals its ModeSolution profile's
+    value bit for bit.
+    """
+    fast, slow = amps
+    y = np.asarray(y, dtype=float)
+    out = np.zeros((fast.shape[0], modes.size, len(y)), dtype=complex)
+    for amp, rate in ((slow, modes.abs_xi + 0j), (fast, modes.rate_fast)):
+        # one (N, len(y)) exponential and one component's term at a time:
+        # no (C, N, len(y)) temporary beside out
+        e = np.multiply.outer(-rate, y)
+        np.exp(e, out=e)
+        for row, a in zip(out, amp):
+            row += a[:, None] * e
+    return out
+
+
+def ansatz_residuals(
+    modes: ModeBatch, bc: BcSpec, amps: np.ndarray, h_w, y
+) -> np.ndarray:
+    """The residuals of the two-rate ansatz amps (from ansatz_amplitudes)
+    of the mode problem with normal datum h_w, one column per mode.
+
+    Returns the (4, N) rows momentum, divergence, normal datum and
+    tangential datum.  Each is the largest modulus over the nodes y of
+    omega^2 u - mu u'' + gradhat p, of div u, and then of the wall rows
+    minus their data (0 and h_w), divided by the scale
+    max(max |u(y)|, |h_w|, 1e-300); the normal datum is divided by
+    max(|h_w|, 1e-300) alone.  Each term keeps its rate s in {r, m}, so
+    the profiles are sums over s of, tangentially,
+    (omega^2 - mu s^2) a + i xi q and, normally, (omega^2 - mu s^2) a - s q
+    (q the pressure amplitude), and i xi . a_v - s a_w for the divergence.
+    """
+    nt = modes.n - 1
+    h_w = np.broadcast_to(np.asarray(h_w, dtype=complex), (modes.size,))
+    mu = modes.mu
+    rates = np.stack((modes.rate_fast, modes.abs_xi + 0j))  # (2, N), as amps
+    ixi = 1j * modes.xi.T  # (n-1, N)
+    v, w, q = amps[:, :nt], amps[:, nt], amps[:, nt + 1]
+    helm = modes.omega**2 - mu * rates**2
+    momentum = np.concatenate(
+        (helm[:, None] * v + ixi * q[:, None], (helm * w - rates * q)[:, None]), axis=1
+    )
+    divergence = (np.sum(ixi * v, axis=1) - rates * w)[:, None]
+    # the wall traces of u and p, and of d_y u (each term's -s a)
+    trace = amps[1] + amps[0]
+    slope = -(rates[1] * amps[1] + rates[0] * amps[0])
+    tangential = bc.tangential_row(mu, trace[:nt], slope[:nt], ixi * trace[nt])
+    normal = bc.normal_row(mu, trace[nt], slope[nt], trace[nt + 1])
+
+    def sup(terms):
+        return np.max(np.abs(sample_ansatz(modes, terms, y)), axis=(0, 2))
+
+    scale = np.maximum(np.maximum(sup(amps[:, : nt + 1]), np.abs(h_w)), 1.0e-300)
+    return np.stack(
+        (
+            sup(momentum) / scale,
+            sup(divergence) / scale,
+            np.abs(normal - h_w) / np.maximum(np.abs(h_w), 1.0e-300),
+            np.max(np.abs(tangential), axis=0) / scale,
+        )
+    )
 
 
 def solve_mode(mode: ModeParams, bc: BcSpec, h_w) -> ModeSolution:
@@ -464,54 +540,62 @@ class SampledField:
         return self.grid.y_nodes()
 
 
+#: y nodes synthesize_field samples and transforms at once
+_Y_BLOCK = 32
+
+
 def synthesize_field(
     constants: FluidConstants,
-    contributions: dict,
+    harmonics,
+    sample: Callable[[np.ndarray], np.ndarray],
     grid: GridSpec,
 ) -> SampledField:
     """Assemble the real field sum_k e^{i xi_k x} uhat_k(y) on the grid.
 
-    contributions maps harmonics k >= 1 to ModeSolution objects whose
-    tangential frequency must equal 2 pi k / x_length.  The conjugate
-    partner -k is implied: each entry contributes 2 Re(e^{i xi_k x} uhat_k).
+    harmonics lists N harmonics k >= 1, with xi_k = 2 pi k / x_length, and
+    sample(y) returns the (3, N, len(y)) values of their profiles
+    (u_x, u_y, p)hat_k at the nodes y, in the order of harmonics (as
+    sample_ansatz does for a ModeBatch).  The conjugate partner -k is
+    implied: each harmonic contributes 2 Re(e^{i xi_k x} uhat_k).
 
-    The sum is one unscaled inverse real FFT over x of the profiles
-    (u_x, u_y, p)hat_k(y), each placed in the rfft bin of its harmonic.  On
-    the nx x nodes harmonic k is harmonic b = k mod nx; a bin b > nx/2 is
-    read as bin nx - b with the conjugate profile, and bin 0 (and bin nx/2
-    for even nx) takes twice the profile, since the inverse transform reads
-    only the real part there.  So harmonics the grid cannot resolve give on
-    the nodes exactly what the direct sum gives.
+    The sum is one unscaled inverse real FFT over x of the profiles, each
+    placed in the rfft bin of its harmonic, in ascending k.  On the nx x
+    nodes harmonic k is harmonic b = k mod nx; a bin b > nx/2 is read as bin
+    nx - b with the conjugate profile, and bin 0 (and bin nx/2 for even nx)
+    takes twice the profile, since the inverse transform reads only the
+    real part there.  So harmonics the grid cannot resolve give on the
+    nodes exactly what the direct sum gives.
+
+    Each y node is a transform of its own, so the grid's y nodes are
+    sampled and transformed _Y_BLOCK at a time, straight into the field's
+    array: beside the field only one block's profiles and spectrum are
+    held, never the (3, N, ny) profiles of the whole grid.
     """
-    nx, ny = grid.x_count, grid.y_count
+    nx = grid.x_count
     y = grid.y_nodes()
-    spectrum = np.zeros((3, nx // 2 + 1, ny), dtype=complex)
-    for k in sorted(contributions):
-        if k < 1:
-            raise ValueError(f"harmonic k must be >= 1, got {k}")
-        sol = contributions[k]
-        if not isinstance(sol, ModeSolution):
-            raise TypeError(f"contribution {k} is not a ModeSolution")
-        if sol.mode.constants != constants:
-            raise ValueError(f"contribution {k} has mismatched fluid constants")
-        expected = grid.wavenumber(k)
-        got = sol.mode.xi
-        if len(got) != 1 or abs(got[0] - expected) > 1.0e-12 * max(1.0, abs(expected)):
+    order = sorted(range(len(harmonics)), key=lambda i: harmonics[i])
+    if order and harmonics[order[0]] < 1:
+        raise ValueError(f"harmonic k must be >= 1, got {harmonics[order[0]]}")
+    bins = [int(harmonics[i] % nx) for i in order]
+    flip = [2 * b > nx for b in bins]
+    double = [b == 0 or 2 * b == nx for b in bins]
+    bins = [nx - b if f else b for b, f in zip(bins, flip)]
+
+    values = np.empty((3, nx, len(y)))
+    for start in range(0, len(y), _Y_BLOCK):
+        cols = slice(start, start + _Y_BLOCK)
+        uhat = sample(y[cols])
+        if uhat.shape != (3, len(harmonics), len(y[cols])):
             raise ValueError(
-                f"contribution {k} has xi = {got}, expected ({expected},)"
+                f"sample(y) must have shape (3, {len(harmonics)}, len(y)), got {uhat.shape}"
             )
-
-        uhat = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))  # (3, ny)
-        b = k % nx
-        if 2 * b > nx:
-            spectrum[:, nx - b] += np.conj(uhat)
-        elif b == 0 or 2 * b == nx:
-            spectrum[:, b] += 2.0 * uhat
-        else:
-            spectrum[:, b] += uhat
-
-    samples = np.fft.irfft(spectrum, n=nx, axis=1, norm="forward")  # (3, nx, ny)
-    return SampledField(grid, constants, samples[:2], samples[2])
+        uhat = uhat[:, order]
+        uhat[:, flip] = np.conj(uhat[:, flip])
+        uhat[:, double] *= 2.0
+        spectrum = np.zeros((3, nx // 2 + 1, uhat.shape[2]), dtype=complex)
+        np.add.at(spectrum, (slice(None), bins), uhat)  # in ascending k
+        np.fft.irfft(spectrum, n=nx, axis=1, norm="forward", out=values[:, :, cols])
+    return SampledField(grid, constants, values[:2], values[2])
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ Chebyshev-Lobatto wall-normal grid:
         normal trace -what(0), sampled on the nodes (its pressure joins the
         reported pressure).  Stage 3 is linear in that datum, so it is the
         correction for datum 1, computed once per dt for every mode at once
-        (solve_coefficients and ansatz_amplitudes on one ModeBatch, one
-        np.exp per rate), scaled by -what(0).
+        (solve_coefficients, ansatz_amplitudes and halfspace.sample_ansatz
+        on one ModeBatch), scaled by -what(0).
 
 Only the stage-2 solves vanish at the top row y = Y.  Stage 3 is the
 halfspace ansatz, e^{-m y} and e^{-|xi| y} sampled on [0, Y], and it does
@@ -81,7 +81,7 @@ from .energy import _apply, _gradient_spectrum, _samples, _spectrum
 from .energy import _velocity_gradient, kinetic_energy
 from .errors import InvalidModeError
 from .grids import diff_matrix
-from .halfspace import GridSpec, SampledField, ansatz_amplitudes
+from .halfspace import GridSpec, SampledField, ansatz_amplitudes, sample_ansatz
 from .symbols import BcSpec, FluidConstants, ModeBatch, solve_coefficients
 
 __all__ = [
@@ -251,18 +251,11 @@ class NsStepper:
         # per unit c: the lift c h and the stage-3 correction for the datum -c,
         # as (vhat, what, phat); the mean mode keeps what = 0 and gets neither
         corrected = np.flatnonzero(self._kept)[1:]
-        ones = np.ones(len(corrected))
-        modes = ModeBatch(rho * ones, mu * ones, ones / dt, 0j * ones, xi[corrected, None])
+        modes = ModeBatch.of_fluid(FluidConstants(rho, mu, 1.0 / dt), 0j, xi[corrected, None])
         modes.check_admissible()
-        fast, slow = ansatz_amplitudes(modes, *solve_coefficients(modes, _NS_BC, 1.0))
-        # the slow rate goes through the complex exp, as a ModeSolution's
-        # profiles take it: numpy's real exp can differ in the last bit
-        y = self.y[:, None]
+        amps = ansatz_amplitudes(modes, *solve_coefficients(modes, _NS_BC, 1.0))
         lift = np.zeros((3, self.ny, self.n_modes), dtype=complex)
-        lift[:, :, corrected] = -(
-            fast[:, None] * np.exp(-modes.rate_fast * y)
-            + slow[:, None] * np.exp(-modes.abs_xi * y + 0j)
-        )
+        lift[:, :, corrected] = -sample_ansatz(modes, amps, self.y).transpose(0, 2, 1)
         lift[1][:, corrected] += h[:, corrected]
         self._lift = lift
         self._dt = dt

@@ -150,14 +150,7 @@ class ModeParams:
         xi = tuple(float(c) for c in self.xi)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "xi", xi)
-        c = self.constants
-        batch = ModeBatch(
-            rho=np.array([c.rho], dtype=float),
-            mu=np.array([c.mu], dtype=float),
-            epsilon=np.array([c.epsilon], dtype=float),
-            lam=np.array([lam]),
-            xi=np.array([xi]),
-        )
+        batch = ModeBatch.of_fluid(self.constants, lam, [xi])
         object.__setattr__(self, "batch", batch.check_admissible())
 
     @property
@@ -305,6 +298,21 @@ class ModeBatch:
     xi: np.ndarray
 
     @classmethod
+    def of_fluid(cls, constants: FluidConstants, lam: complex, xi) -> "ModeBatch":
+        """The modes of one fluid and one lam, one per row of xi (N, n-1).
+
+        Builds the arrays only; check_admissible validates them."""
+        xi = np.asarray(xi, dtype=float)
+        size = len(xi)
+        return cls(
+            rho=np.full(size, constants.rho, dtype=float),
+            mu=np.full(size, constants.mu, dtype=float),
+            epsilon=np.full(size, constants.epsilon, dtype=float),
+            lam=np.full(size, lam, dtype=complex),
+            xi=xi,
+        )
+
+    @classmethod
     def from_modes(cls, modes) -> "ModeBatch":
         """The batches of ModeParams of one dimension, one after another."""
         if len({m.n for m in modes}) != 1:
@@ -321,7 +329,8 @@ class ModeBatch:
         """self, after the admissibility checks: at least one tangential
         component (n >= 2); rho, mu, epsilon finite and > 0; lam finite with
         Re lam >= 0; xi finite; |xi|^2 and omega finite.  Raises
-        InvalidModeError.at_mode naming the first offending mode."""
+        InvalidModeError.at_mode naming the first offending mode, and the
+        first of these checks it fails."""
         if self.xi.shape[1] < 1:
             raise InvalidModeError("xi must have at least one component (n >= 2)")
         checks = [
@@ -339,10 +348,11 @@ class ModeBatch:
                 ("|xi|^2 must be finite", self.xi_sq, np.isfinite(self.xi_sq)),
                 ("omega must be finite", self.omega, np.isfinite(self.omega)),
             ]
-        for what, val, ok in checks:
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise InvalidModeError.at_mode(f"{what}, got {val[i]}", i)
+        failed = ~np.stack([ok for _, _, ok in checks])  # (check, mode)
+        if failed.any():
+            i = int(np.argmax(failed.any(axis=0)))
+            what, val, _ = checks[int(np.argmax(failed[:, i]))]
+            raise InvalidModeError.at_mode(f"{what}, got {val[i]}", i)
         return self
 
     def extended(self) -> "ModeBatch":
@@ -562,9 +572,10 @@ def closed_form_inverse(mode: ModeParams | ModeBatch, bc: BcSpec) -> np.ndarray:
     p = _as_batch(mode)
     nt = p.n - 1
     if bc.beta == 0 and not p.abs_xi.all():
-        raise SingularModeError(
+        raise SingularModeError.at_mode(
             "the (alpha, 0) closed-form inverses require xi != 0 "
-            "(the normal-velocity row degenerates at the mean mode)"
+            "(the normal-velocity row degenerates at the mean mode)",
+            int(np.argmin(p.abs_xi)),
         )
     w = p.omega
     s = p.abs_zeta / w
@@ -700,7 +711,8 @@ def solve_coefficients(mode: ModeParams | ModeBatch, bc: BcSpec, h_w):
     For beta in {0, +1} they solve B [z_v; z_w] = [0; h_w] by the
     closed-form inverse, and SingularModeError is raised when cond(B), read
     off the inverse as closed_form_inverse's warning reads it, is not
-    finite: the solve then carries no digits.  For beta = -1 the pressure
+    finite: the solve then carries no digits, and the error's index names
+    the first such mode of the batch.  For beta = -1 the pressure
     trace gives kappa lambda_eps z_w = h_w, and the tangential row then
     z_v = gamma i zeta in closed form.
 
@@ -724,9 +736,10 @@ def solve_coefficients(mode: ModeParams | ModeBatch, bc: BcSpec, h_w):
         cond = _condition_numbers(binv)
         if not np.isfinite(cond).all():
             i = int(np.argmin(np.isfinite(cond)))
-            raise SingularModeError(
+            raise SingularModeError.at_mode(
                 f"boundary symbol numerically singular (cond = {cond[i]:.3e}) at "
-                f"(alpha, beta) = ({bc.alpha}, {bc.beta}), |xi| = {p.abs_xi[i]:.3e}"
+                f"(alpha, beta) = ({bc.alpha}, {bc.beta}), |xi| = {p.abs_xi[i]:.3e}",
+                i,
             )
         # the right-hand side is h_w e_n, so z is h_w times B^-1's last column
         z = binv[:, :, -1] * h_w[:, None]

@@ -15,8 +15,16 @@ import pytest
 
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.energy import ClassificationReport
-from stokesbc.cli import _csv_cell, _draw_modes, _max_abs
-from stokesbc.halfspace import ModeSolution, SampledField
+from stokesbc.cli import (
+    _bc_from_config,
+    _constants_from_config,
+    _csv_cell,
+    _draw_modes,
+    _grid_from_config,
+    _max_abs,
+    _parse_complex,
+)
+from stokesbc.halfspace import ModeSolution, SampledField, solve_mode, synthesize_field
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 from stokesbc.quadrature import gauss_kronrod_15
 from stokesbc.symbols import (  # noqa: F401  (ALL_BCS, BcSpec re-exported to the tests)
@@ -186,6 +194,79 @@ def reference_synthesize_field(constants, contributions, grid):
         u += 2.0 * np.real(phase[None, :, None] * vhat[:, None, :])
         p += 2.0 * np.real(phase[:, None] * phat[None, :])
     return field
+
+
+def solution_profiles(contributions):
+    """The harmonics and the profile sampler that halfspace.synthesize_field
+    takes, for a dict {k: ModeSolution}: in ascending k, each solution's
+    (vhat, what, phat) evaluated at the nodes asked for."""
+    harmonics = sorted(contributions)
+
+    def sample(y):
+        out = np.zeros((3, len(harmonics), len(y)), dtype=complex)
+        for i, k in enumerate(harmonics):
+            sol = contributions[k]
+            out[:, i] = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))
+        return out
+
+    return harmonics, sample
+
+
+def field_of_solutions(constants, contributions, grid):
+    """halfspace.synthesize_field of a dict {k: ModeSolution}."""
+    return synthesize_field(constants, *solution_profiles(contributions), grid)
+
+
+def per_mode_synthesize_field(constants, contributions, grid):
+    """The dict-of-ModeSolution synthesis halfspace.synthesize_field
+    replaced: each harmonic's profiles evaluated and added to its rfft bin
+    in ascending k, then one irfft of the whole (3, nx//2 + 1, ny)
+    spectrum."""
+    nx, ny = grid.x_count, grid.y_count
+    y = grid.y_nodes()
+    spectrum = np.zeros((3, nx // 2 + 1, ny), dtype=complex)
+    for k in sorted(contributions):
+        sol = contributions[k]
+        uhat = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))
+        b = k % nx
+        if 2 * b > nx:
+            spectrum[:, nx - b] += np.conj(uhat)
+        elif b == 0 or 2 * b == nx:
+            spectrum[:, b] += 2.0 * uhat
+        else:
+            spectrum[:, b] += uhat
+    samples = np.fft.irfft(spectrum, n=nx, axis=1, norm="forward")
+    return SampledField(grid, constants, samples[:2], samples[2])
+
+
+def reference_solve(cfg):
+    """The per-mode pass the solve verb's one ModeBatch replaced, on a
+    resolved solve config: each mode derived and solved on its own, its
+    residuals taken in profile algebra on its ModeSolution, and the field
+    summed by per_mode_synthesize_field.  Returns the field and the rows
+    (k, momentum, divergence, datum_normal, datum_tangential)."""
+    constants = _constants_from_config(cfg)
+    lam = _parse_complex(cfg["lambda"], "lambda")
+    bc = _bc_from_config(cfg["bc"], "bc")
+    grid = _grid_from_config(cfg)
+    y = np.linspace(0.0, grid.y_max, cfg["residual_samples"])
+    contributions, rows = {}, []
+    for entry in cfg["modes"]:
+        k = entry["k"]
+        h_w = _parse_complex(entry.get("h_w", 1.0), "h_w")
+        sol = solve_mode(derive_mode(constants, lam, (grid.wavenumber(k),)), bc, h_w)
+        contributions[k] = sol
+        scale = max(float(np.max(np.abs(sol.velocity.evaluate(y)))), abs(h_w), 1.0e-300)
+        rows.append(
+            (
+                k,
+                float(np.max(np.abs(sol.momentum_residual().evaluate(y)))) / scale,
+                float(np.max(np.abs(sol.divergence()(y)))) / scale,
+                abs(sol.normal_row() - h_w) / max(abs(h_w), 1.0e-300),
+                float(np.max(np.abs(sol.tangential_row()))) / scale,
+            )
+        )
+    return per_mode_synthesize_field(constants, contributions, grid), rows
 
 
 def reference_write_csv(path, header, rows):

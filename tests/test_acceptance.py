@@ -27,6 +27,7 @@ from helpers import (
     CliRunner,
     complex_amp,
     draw_mode,
+    field_of_solutions,
     manufacture_solution,
     random_profile,
     solution_sup_gap,
@@ -45,7 +46,6 @@ from stokesbc import (
     parabolic_solve_mode,
     solve_mode,
     splitting_solve_mode,
-    synthesize_field,
     weyl_project_mode,
 )
 from stokesbc.cli import main
@@ -235,7 +235,7 @@ def test_criterion_08_energy_balance_convergence():
         sol = solve_mode(mode, bc, 1.0)
         c = cmath.exp(mode.lambda_eps * t)
         scaled = ModeSolution(mode, bc, c * sol.velocity, c * sol.pressure)
-        return synthesize_field(constants, {1: scaled}, grid)
+        return field_of_solutions(constants, {1: scaled}, grid)
 
     ladder = ((65, 0.4), (129, 0.2), (257, 0.1))  # dt and grid refine together
     for form in ("S", "T"):

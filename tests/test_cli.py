@@ -4,16 +4,22 @@ import csv
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import CliRunner, reference_symbols_chunk, reference_write_csv
+from helpers import (
+    CliRunner,
+    reference_solve,
+    reference_symbols_chunk,
+    reference_write_csv,
+)
 
 import stokesbc
-from stokesbc import QuadratureCfg, cli, verify_trace_relations
+from stokesbc import QuadratureCfg, cli, halfspace, verify_trace_relations
 from stokesbc.cli import main
 from stokesbc.symbols import generic_inverse
 
@@ -700,6 +706,13 @@ def test_solve_overflowing_mode_is_a_config_error(runner, tmp_path):
     assert "'modes[1].k'" in result.output
     assert "|xi|^2 must be finite" in result.output
     assert "mode 0" not in result.output
+    # of two bad entries the first is named, though it fails a later check:
+    # mu |xi|^2 overflows omega at k = 10^150, |xi|^2 itself at 10^300
+    constants = {"rho": 1.0, "mu": 1e10, "epsilon": 1.0}
+    cfg = {"constants": constants, "modes": [{"k": 1}, {"k": 10**150}, {"k": 10**300}]}
+    result, _ = invoke(runner, "solve", tmp_path, cfg, name="first")
+    assert result.exit_code == 2, result.output
+    assert "'modes[1].k' gives an inadmissible mode: omega must be finite" in result.output
 
 
 def test_solve_mode_with_a_singular_symbol_is_a_config_error(runner, tmp_path):
@@ -716,6 +729,112 @@ def test_solve_mode_with_a_singular_symbol_is_a_config_error(runner, tmp_path):
     with pytest.warns(RuntimeWarning, match="poorly conditioned"):
         result, _ = invoke(runner, "solve", tmp_path, {"modes": [{"k": 10**7}]}, name="finite")
     assert result.exit_code == 0, result.output
+
+
+def test_solve_names_the_unsolvable_mode_among_solvable_ones(runner, tmp_path):
+    cfg = {"modes": [{"k": 1}, {"k": 10**20}, {"k": 2}], "bc": {"alpha": 0, "beta": 0}}
+    with pytest.warns(RuntimeWarning, match=r"cond = inf.*\(1 of 3 modes\)"):
+        result, out = invoke(runner, "solve", tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert "'modes[1].k' gives an unsolvable mode" in result.output
+    assert "at mode" not in result.output
+    assert not (out / "field.csv").exists()
+
+
+@pytest.mark.parametrize("modes", [[{"k": 1}], []], ids=["one-mode", "no-modes"])
+def test_solve_rejects_an_inadmissible_lambda(runner, tmp_path, modes):
+    # Re lambda < 0 is the config's lambda at fault, with or without modes
+    result, out = invoke(runner, "solve", tmp_path, {"modes": modes, "lambda": {"re": -1}})
+    assert result.exit_code == 2, result.output
+    assert "'lambda' must have Re lambda >= 0" in result.output
+    assert "modes[" not in result.output
+    assert not (out / "solve_report.json").exists()
+
+
+def _solve_field_config(seed):
+    """The 64-mode, 256 x 257 solve config of perfbench's solve-field
+    workload at seed."""
+    rng = random.Random(seed)
+    modes = [
+        {"k": k, "h_w": {"re": rng.gauss(0.0, 1.0) / k, "im": rng.gauss(0.0, 1.0) / k}}
+        for k in range(1, 65)
+    ]
+    grid = {"x_count": 256, "y_count": 257}
+    return {"seed": seed, "modes": modes, "grid": grid, "residual_tol": 1.0e-6}
+
+
+#: the CI smoke configs, and solves off their pairs, lambda and grid
+_SOLVE_CONFIGS = {
+    "no-modes": {},
+    "smoke": _SMOKE_SOLVE,
+    "smoke-anti": {**_SMOKE_SOLVE, "bc": {"alpha": -1, "beta": 1}},
+    "smoke-pressure": {**_SMOKE_SOLVE, "bc": {"alpha": 0, "beta": -1}},
+    "smoke-alias": {
+        "grid": {"x_count": 8},
+        "modes": [
+            {"k": 1, "h_w": 1.0},
+            {"k": 4, "h_w": {"re": 0.5, "im": -0.25}},
+            {"k": 9, "h_w": {"re": -0.3, "im": 0.1}},
+        ],
+    },
+    # harmonics 1, 7 (conjugate), 9 and 17 all fold onto bin 1 of 8 x nodes,
+    # listed out of order: they are summed there in ascending k
+    "unsorted-alias": {
+        "grid": {"x_count": 8},
+        "modes": [
+            {"k": 17, "h_w": {"re": 0.2, "im": 0.3}},
+            {"k": 1, "h_w": 1.0},
+            {"k": 9, "h_w": {"re": -0.3, "im": 0.1}},
+            {"k": 7, "h_w": {"re": 0.5, "im": -0.25}},
+        ],
+    },
+    "complex-lambda": {**_SMOKE_SOLVE, "lambda": {"re": 0.3, "im": 2.5}},
+    "antisymmetric-velocity": {**_SMOKE_SOLVE, "bc": {"alpha": -1, "beta": 0}},
+    "solve-field": _solve_field_config(1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVE_CONFIGS))
+def test_solve_is_the_per_mode_pass(runner, tmp_path, name):
+    result, out = invoke(runner, "solve", tmp_path, _SOLVE_CONFIGS[name])
+    assert result.exit_code == 0, result.output
+    cfg = cli._load_config("solve", str(tmp_path / "out.json"), None)
+    field, rows = reference_solve(cfg)
+    ref = tmp_path / "reference"
+    ref.mkdir()
+    halfspace.write_field_csv(ref / "field.csv", field)
+    halfspace.write_manifest(
+        ref / "manifest.json", halfspace.field_manifest(field, "field.csv", config=cfg)
+    )
+    for artifact in ("field.csv", "manifest.json"):
+        assert (out / artifact).read_bytes() == (ref / artifact).read_bytes(), artifact
+    # the residuals are rounding noise, which in the momentum column grows
+    # like |xi|^4 (it divides mu |xi|^2 u'' by |u|)
+    got = read_rows(out / "solve_residuals.csv")
+    assert [int(r["k"]) for r in got] == [row[0] for row in rows]
+    x_length = cfg["grid"]["x_length"]
+    for want, have in zip(rows, got):
+        tol = 1e-12 * max(1.0, (2 * np.pi * want[0] / x_length) ** 4)
+        cells = [float(have[c]) for c in ("momentum", "divergence", "datum_normal", "datum_tangential")]
+        assert np.max(np.abs(np.subtract(cells, want[1:]))) <= tol, (want, have)
+
+
+def test_solve_is_one_batched_pass(runner, tmp_path, monkeypatch):
+    calls = []
+    batched_solve = cli.solve_coefficients
+
+    def counted(modes, bc, h_w):
+        calls.append(modes.size)
+        return batched_solve(modes, bc, h_w)
+
+    def no_profile(self, *args, **kwargs):
+        raise AssertionError("solve built a ScalarModeProfile")
+
+    monkeypatch.setattr(cli, "solve_coefficients", counted)
+    monkeypatch.setattr(halfspace.ScalarModeProfile, "__init__", no_profile)
+    result, _ = invoke(runner, "solve", tmp_path, _SMOKE_SOLVE)
+    assert result.exit_code == 0, result.output
+    assert calls == [4]
 
 
 def test_solve_duplicate_mode_rejected(runner, tmp_path):

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from helpers import ALL_BCS, reference_classify_bc
+from helpers import ALL_BCS, field_of_solutions, reference_classify_bc
 from stokesbc import (
     AuditError,
     BcSpec,
@@ -22,7 +22,6 @@ from stokesbc import (
     kinetic_energy,
     solve_mode,
     stream_function_field,
-    synthesize_field,
 )
 from stokesbc.energy import _apply, _project_onto_bc, _velocity_gradient
 from stokesbc.halfspace import ModeSolution
@@ -147,7 +146,7 @@ def exact_series(dt, ny, t0=0.1):
     for t in (t0 - dt, t0, t0 + dt):
         c = cmath.exp(mode.lambda_eps * t)
         scaled = ModeSolution(mode, sol.bc, c * sol.velocity, c * sol.pressure)
-        out.append(synthesize_field(CONSTANTS, {1: scaled}, grid))
+        out.append(field_of_solutions(CONSTANTS, {1: scaled}, grid))
     return out
 
 
@@ -175,7 +174,7 @@ def test_compatibility_smoke():
     grid = GridSpec(2.0 * np.pi, 16, 12.0, 65)
     mode = derive_mode(CONSTANTS, 0.4j, (grid.wavenumber(1),))
     sol = solve_mode(mode, BcSpec(0, 0), 1.0)
-    field = synthesize_field(CONSTANTS, {1: sol}, grid)
+    field = field_of_solutions(CONSTANTS, {1: sol}, grid)
     report = check_compatibility(field, BcSpec(0, 0), p_exponent=1.0)
     assert report.entries
 

@@ -11,9 +11,12 @@ from helpers import (
     ALL_BCS,
     complex_amp,
     draw_mode,
+    field_of_solutions,
     manufacture_solution,
+    per_mode_synthesize_field,
     reference_synthesize_field,
     reference_write_field_csv,
+    solution_profiles,
     solution_sup_gap,
 )
 from stokesbc import (
@@ -21,6 +24,7 @@ from stokesbc import (
     FluidConstants,
     GridSpec,
     InvalidModeError,
+    ModeBatch,
     NsStepper,
     ProfileError,
     SampledField,
@@ -30,14 +34,22 @@ from stokesbc import (
     forward_data,
     read_field_csv,
     read_manifest,
+    solve_coefficients,
     solve_mode,
     splitting_solve_mode,
     synthesize_field,
     write_field_csv,
     write_manifest,
 )
+from stokesbc import halfspace
 from stokesbc.grids import diff_matrix, trapezoid_weights
-from stokesbc.halfspace import ModeSolution, graded_grid
+from stokesbc.halfspace import (
+    ModeSolution,
+    ansatz_amplitudes,
+    ansatz_residuals,
+    graded_grid,
+    sample_ansatz,
+)
 from stokesbc.profiles import ScalarModeProfile, VectorModeProfile
 
 Y = np.linspace(0.0, 30.0, 41)
@@ -191,12 +203,41 @@ def test_grid_calculus_is_cached_and_read_only():
             cached[0] = 1.0
 
 
+@pytest.mark.parametrize("n_tangential", [1, 2])
+def test_batched_ansatz_is_the_per_mode_profiles(n_tangential):
+    # samples bit for bit; residuals, which are rounding noise of scale
+    # |omega|^2 |u| in the momentum column, to well within that noise
+    rng = np.random.default_rng(29)
+    modes = [draw_mode(rng, n_tangential) for _ in range(40)]
+    batch = ModeBatch.from_modes(modes)
+    h_w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    y = np.linspace(0.0, 6.0, 17)
+    for bc in ALL_BCS:
+        amps = ansatz_amplitudes(batch, *solve_coefficients(batch, bc, h_w))
+        samples = sample_ansatz(batch, amps, y)
+        residuals = ansatz_residuals(batch, bc, amps, h_w, y)
+        assert samples.shape == (n_tangential + 2, 40, len(y))
+        for i, mode in enumerate(modes):
+            sol = solve_mode(mode, bc, h_w[i])
+            profiles = np.vstack((sol.velocity.evaluate(y), sol.pressure(y)))
+            assert samples[:, i].tobytes() == profiles.tobytes(), (bc, i)
+            scale = max(np.max(np.abs(sol.velocity.evaluate(y))), abs(h_w[i]))
+            per_mode = (
+                np.max(np.abs(sol.momentum_residual().evaluate(y))) / scale,
+                np.max(np.abs(sol.divergence()(y))) / scale,
+                abs(sol.normal_row() - h_w[i]) / abs(h_w[i]),
+                np.max(np.abs(sol.tangential_row())) / scale,
+            )
+            tol = 1e-13 * max(1.0, abs(mode.omega) ** 4)
+            assert np.max(np.abs(residuals[:, i] - per_mode)) <= tol, (bc, i)
+
+
 def synthesized_field(tmp_path=None):
     constants = FluidConstants(1.0, 1.0, 1.0)
     grid = GridSpec(2.0 * np.pi, 16, 8.0, 33)
     mode = derive_mode(constants, 0.5j, (grid.wavenumber(1),))
     sol = solve_mode(mode, BcSpec(0, 1), 1.0 + 0.7j)
-    return synthesize_field(constants, {1: sol}, grid)
+    return field_of_solutions(constants, {1: sol}, grid)
 
 
 def test_synthesize_field_is_real_and_shaped():
@@ -214,7 +255,7 @@ def test_synthesize_field_rejects_harmonics_below_one(k):
     mode = derive_mode(constants, 0.5j, (grid.wavenumber(k),))
     sol = solve_mode(mode, BcSpec(0, 1), 1.0)
     with pytest.raises(ValueError, match=">= 1"):
-        synthesize_field(constants, {k: sol}, grid)
+        synthesize_field(constants, *solution_profiles({k: sol}), grid)
 
 
 def lattice_solutions(constants, grid, harmonics, seed=3):
@@ -245,7 +286,7 @@ def test_synthesize_field_is_the_direct_phase_sum(x_count, y_kind, y_grading):
     n = x_count
     harmonics = {1, 2, n // 2, n // 2 + 1, n, n + 1, n + n // 2, 2 * n + 3} - {0}
     sols = lattice_solutions(constants, grid, harmonics)
-    field = synthesize_field(constants, sols, grid)
+    field = field_of_solutions(constants, sols, grid)
     reference = reference_synthesize_field(constants, sols, grid)
     scale = np.max(np.abs(stacked(reference)))
     assert scale > 0.0
@@ -269,7 +310,7 @@ def test_synthesize_field_is_no_less_accurate_than_the_phase_sum():
         re, im = uhat.real.astype(np.longdouble), uhat.imag.astype(np.longdouble)
         exact += 2 * (re * cos - im * sin)
     scale = float(np.max(np.abs(exact)))
-    fft_error = float(np.max(np.abs(stacked(synthesize_field(constants, sols, grid)) - exact)))
+    fft_error = float(np.max(np.abs(stacked(field_of_solutions(constants, sols, grid)) - exact)))
     sum_error = float(
         np.max(np.abs(stacked(reference_synthesize_field(constants, sols, grid)) - exact))
     )
@@ -280,13 +321,35 @@ def test_synthesize_field_is_no_less_accurate_than_the_phase_sum():
 def test_synthesize_field_keeps_its_checks():
     constants = FluidConstants(1.0, 1.0, 1.0)
     grid = GridSpec(2.0 * np.pi, 16, 8.0, 33)
-    sol = lattice_solutions(constants, grid, [2])[2]
-    with pytest.raises(TypeError, match="not a ModeSolution"):
-        synthesize_field(constants, {2: "profile"}, grid)
-    with pytest.raises(ValueError, match="mismatched fluid constants"):
-        synthesize_field(FluidConstants(2.0, 1.0, 1.0), {2: sol}, grid)
-    with pytest.raises(ValueError, match="expected"):
-        synthesize_field(constants, {3: sol}, grid)
+    harmonics, sample = solution_profiles(lattice_solutions(constants, grid, [2, 3]))
+    # one profile per harmonic, three components, one value per y node
+    for bad in (
+        (harmonics[:1], sample),
+        (harmonics, lambda y: sample(y)[:2]),
+        (harmonics, lambda y: sample(y)[:, :, :-1]),
+    ):
+        with pytest.raises(ValueError, match=r"sample\(y\) must have shape \(3, "):
+            synthesize_field(constants, *bad, grid)
+
+
+def test_synthesize_field_samples_the_grid_in_blocks():
+    # a y grid of several blocks and a short last one, sampled node by node
+    constants = FluidConstants(1.0, 1.0, 1.0)
+    grid = GridSpec(2.0 * np.pi, 16, 8.0, 2 * halfspace._Y_BLOCK + 5)
+    harmonics, sample = solution_profiles(lattice_solutions(constants, grid, [1, 3, 8, 17]))
+    asked = []
+
+    def logged(y):
+        asked.append(y)
+        return sample(y)
+
+    field = synthesize_field(constants, harmonics, logged, grid)
+    assert [len(y) for y in asked] == [halfspace._Y_BLOCK, halfspace._Y_BLOCK, 5]
+    assert np.array_equal(np.concatenate(asked), grid.y_nodes())
+    whole = per_mode_synthesize_field(
+        constants, lattice_solutions(constants, grid, [1, 3, 8, 17]), grid
+    )
+    assert stacked(field).tobytes() == stacked(whole).tobytes()
 
 
 def test_sampled_field_nodes_come_from_the_grid():
@@ -327,7 +390,7 @@ def test_field_csv_matches_the_per_cell_writer(tmp_path, x_count, y_kind, y_grad
         )
         for k in (1, 2, 3)
     }
-    field = synthesize_field(constants, sols, grid)
+    field = field_of_solutions(constants, sols, grid)
     write_field_csv(tmp_path / "streamed.csv", field)
     reference_write_field_csv(tmp_path / "reference.csv", field)
     assert (tmp_path / "streamed.csv").read_bytes() == (

@@ -314,6 +314,44 @@ def test_empty_batch_gives_empty_stacks(n_tangential):
         assert z_v.shape == (0, n_tangential) and z_w.shape == (0,)
 
 
+def test_singular_mode_error_names_its_mode():
+    # xi = 10^20: |xi|^2 and omega are finite, but cond(B) read off the
+    # closed-form inverse is not, so the solve at index 2 carries no digits
+    batch = ModeBatch.of_fluid(FluidConstants(1.0, 1.0, 1.0), 0.0, [[1.0], [2.0], [1e20], [3.0]])
+    assert batch.check_admissible() is batch
+    with pytest.warns(RuntimeWarning, match=r"cond = inf.*\(1 of 4 modes\)"):
+        with pytest.raises(SingularModeError) as err:
+            solve_coefficients(batch, BcSpec(0, 0), 1.0)
+    assert err.value.index == 2
+    assert err.value.reason.startswith("boundary symbol numerically singular (cond = inf)")
+    assert str(err.value) == f"{err.value.reason} at mode 2"
+    # the mean mode, where the beta = 0 inverses degenerate, is named too
+    mean = ModeBatch.of_fluid(FluidConstants(1.0, 1.0, 1.0), 0.0, [[1.0], [0.0]])
+    with pytest.raises(SingularModeError) as err:
+        closed_form_inverse(mean, BcSpec(0, 0))
+    assert err.value.index == 1
+
+
+def test_check_admissible_names_the_first_offending_mode():
+    # mode 1 fails only the last check (mu |xi|^2 overflows omega), mode 2
+    # an earlier one (|xi|^2 overflows): the error names mode 1
+    batch = ModeBatch.of_fluid(FluidConstants(1.0, 1e10, 1.0), 0.0, [[1.0], [1e150], [1e300]])
+    with pytest.raises(InvalidModeError) as err:
+        batch.check_admissible()
+    assert err.value.index == 1
+    assert err.value.reason.startswith("omega must be finite")
+
+
+def test_mode_batch_of_fluid_is_the_batch_of_its_modes():
+    constants = FluidConstants(2.0, 0.5, 0.1)
+    xi = [[0.5, -1.0], [3.0, 0.25]]
+    batch = ModeBatch.of_fluid(constants, 0.3 + 2.0j, xi)
+    single = ModeBatch.from_modes([derive_mode(constants, 0.3 + 2.0j, row) for row in xi])
+    for name in ("rho", "mu", "epsilon", "lam", "xi", "omega", "rate_fast"):
+        got, want = getattr(batch, name), getattr(single, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_closed_form_condition_number_matches_svd():
     from stokesbc.symbols import _condition_numbers
 
