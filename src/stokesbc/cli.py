@@ -15,8 +15,14 @@ bad mode is named by its entry, 'modes[i].k', and the "poorly conditioned"
 symbol warning comes once per solve, for its worst mode, with a
 "(j of N modes)" count.
 
-Configuration is JSON, strictly validated: unknown keys are rejected, and
-every verb documents its defaults in _DEFAULTS below.  --seed overrides the
+Configuration is JSON, strictly validated.  _CONFIG declares each verb's
+config once: every leaf holds its default and its check, and _DEFAULTS is
+the plain dict of the defaults.  A config file is merged over the defaults,
+which rejects unknown keys, and checked in one walk of the table; an error
+names its dotted key, "'grid.y_kind' must be ...", or a list key's entry,
+"'bcs[1]' is a duplicate of 'bcs[0]'".  The verbs check only what reads two
+keys or builds a library object, and the sweeps reject a drawn mode whose
+|xi|^2 underflows to 0, by its (chunk, index) row.  --seed overrides the
 config seed.  --jobs is validated (an integer >= 1) but has no effect:
 every campaign runs on one thread.  That includes BLAS: this module sets
 OPENBLAS_NUM_THREADS to 1, unless the environment already sets it, before
@@ -59,7 +65,7 @@ import math
 import os
 import sys
 from importlib import import_module
-from typing import NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 # OpenBLAS reads this once, when numpy loads it.  Every product in a campaign
 # is small (run-ns's are as wide as its y grid), so a second BLAS thread adds
@@ -140,80 +146,249 @@ SYMBOL_STACK = 1024
 
 TWO_PI = 2.0 * math.pi
 
-_DEFAULTS: dict[str, dict] = {
+# ---------------------------------------------------------------------------
+# config tables
+# ---------------------------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    """One config leaf: its default, and check(value, where), which raises
+    ConfigError naming the dotted key where."""
+
+    default: object
+    check: Callable[[object, str], None]
+
+
+def _real(val) -> bool:
+    """Whether val is an int or float, not a bool, that is a finite float;
+    an int too large for a float is not."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _number(default, *, positive: bool = False) -> _Key:
+    """A finite number, > 0 if positive; null as well if the default is."""
+    what = "a finite number" + (" > 0" if positive else "")
+    what += " or null" if default is None else ""
+
+    def check(val, where):
+        if not (val is None and default is None) and (
+            not _real(val) or (positive and val <= 0)
+        ):
+            raise ConfigError(f"{where!r} must be {what}, got {val!r}")
+
+    return _Key(default, check)
+
+
+def _integer(default: int, *, minimum: int) -> _Key:
+    def check(val, where):
+        if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+            raise ConfigError(f"{where!r} must be an integer >= {minimum}, got {val!r}")
+
+    return _Key(default, check)
+
+
+def _range(default: list, *, positive: bool) -> _Key:
+    """An ascending [low, high] pair of finite numbers, with low > 0 if
+    positive and low >= 0 otherwise."""
+    what = "an ascending [low, high] pair of finite numbers with low " + (
+        "> 0" if positive else ">= 0"
+    )
+
+    def check(val, where):
+        if not (
+            isinstance(val, list)
+            and len(val) == 2
+            and all(_real(v) for v in val)
+            and val[0] <= val[1]
+            and (val[0] > 0 if positive else val[0] >= 0)
+        ):
+            raise ConfigError(f"{where!r} must be {what}, got {val!r}")
+
+    return _Key(default, check)
+
+
+def _positive_list(default: list) -> _Key:
+    def check(val, where):
+        if not isinstance(val, list) or not val or not all(_real(v) and v > 0 for v in val):
+            raise ConfigError(
+                f"{where!r} must be a non-empty list of finite numbers > 0, got {val!r}"
+            )
+
+    return _Key(default, check)
+
+
+def _one_of(val, where: str, choices) -> None:
+    # by type as well as value, since True == 1.0 == 1; and by ==, not a
+    # lookup, since a list or dict is not hashable
+    if not any(type(val) is type(c) and val == c for c in choices):
+        raise ConfigError(f"{where!r} must be one of {list(choices)}, got {val!r}")
+
+
+def _choice(default, choices: tuple) -> _Key:
+    return _Key(default, lambda val, where: _one_of(val, where, choices))
+
+
+def _list_of(default, entry: Callable[[object, str], None]) -> _Key:
+    """A non-empty list, null as well if the default is, of entries that
+    pass entry(item, where) and are all distinct."""
+
+    def check(val, where):
+        if val is None and default is None:
+            return
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{where!r} must be a non-empty list, got {val!r}")
+        for i, item in enumerate(val):
+            entry(item, f"{where}[{i}]")
+            if item in val[:i]:
+                raise ConfigError(
+                    f"'{where}[{i}]' is a duplicate of '{where}[{val.index(item)}]'"
+                )
+
+    return _Key(default, check)
+
+
+def _parse_complex(obj, where: str) -> complex:
+    """A number, or {'re': .., 'im': ..} with either part left out for 0, as
+    a complex; anything else is a config error."""
+    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+        parts = (obj.get("re", 0.0), obj.get("im", 0.0))
+    else:
+        parts = (obj, 0.0)
+    if all(_real(v) for v in parts):
+        return complex(*parts)
+    raise ConfigError(f"{where!r} must be a finite number or {{'re': .., 'im': ..}}")
+
+
+def _check_lambda(val, where: str) -> None:
+    lam = _parse_complex(val, where)
+    if lam.real < 0.0:
+        raise ConfigError(f"{where!r} must have Re lambda >= 0, got {lam}")
+
+
+def _check_list(val, where: str) -> None:
+    if not isinstance(val, list):
+        raise ConfigError(f"{where!r} must be a list, got {val!r}")
+
+
+def _check_relation(val, where: str) -> None:
+    # parabolic loads on first use, with the verb that checks relations
+    _one_of(val, where, sorted(parabolic.TRACE_RELATIONS))
+
+
+def _check_bc(val, where: str) -> None:
+    if not isinstance(val, dict) or set(val) != set(_BC):
+        raise ConfigError(f"{where!r} must be {{'alpha': a, 'beta': b}}, got {val!r}")
+    _check_config(_BC, val, where)
+
+
+def _check_config(table: dict, cfg: dict, path: str = "") -> None:
+    """Check every leaf of cfg, which _merge_config resolved from table's
+    defaults, against table."""
+    for key, spec in table.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            _check_config(spec, cfg[key], where)
+        else:
+            spec.check(cfg[key], where)
+
+
+def _defaults(table: dict) -> dict:
+    return {
+        key: _defaults(spec) if isinstance(spec, dict) else spec.default
+        for key, spec in table.items()
+    }
+
+
+def _grid_table(x_count: int, y_max: float, y_kind: str) -> dict:
+    return {
+        "x_length": _number(TWO_PI, positive=True),
+        "x_count": _integer(x_count, minimum=1),
+        "y_max": _number(y_max, positive=True),
+        "y_count": _integer(129, minimum=2),
+        "y_kind": _choice(y_kind, ("uniform", "graded", "cheb")),
+        "y_grading": _number(0.0),
+    }
+
+
+_BC = {"alpha": _choice(0, (-1, 0, 1)), "beta": _choice(0, (-1, 0, 1))}
+
+_FLUID = {"rho": _number(1.0, positive=True), "mu": _number(1.0, positive=True)}
+
+#: the mode draws of both sweeps (_draw_modes)
+_SWEEP = {
+    "abs_xi_range": _range([1.0e-2, 1.0e2], positive=True),
+    "lambda_im_range": _range([0.0, 1.0e2], positive=False),
+    "epsilon_choices": _positive_list([1.0e-2, 1.0, 1.0e2]),
+    "rho_range": _range([0.1, 10.0], positive=True),
+    "mu_range": _range([0.1, 10.0], positive=True),
+}
+
+#: every verb's config, each leaf's default and check: _merge_config
+#: resolves a config file over the defaults, and _check_config walks it
+_CONFIG: dict[str, dict] = {
     "verify-symbols": {
-        "seed": 2024,
-        "n_modes": 10_000,
-        "abs_xi_range": [1.0e-2, 1.0e2],
-        "lambda_im_range": [0.0, 1.0e2],
-        "epsilon_choices": [1.0e-2, 1.0, 1.0e2],
-        "rho_range": [0.1, 10.0],
-        "mu_range": [0.1, 10.0],
-        "identity_tol": 1.0e-12,
-        "generic_tol": 1.0e-10,
+        "seed": _integer(2024, minimum=0),
+        "n_modes": _integer(10_000, minimum=1),
+        **_SWEEP,
+        "identity_tol": _number(1.0e-12, positive=True),
+        "generic_tol": _number(1.0e-10, positive=True),
     },
     "verify-traces": {
-        "seed": 2024,
-        "n_modes": 300,
-        "relations": ["T00", "T10", "T11"],
-        "rel_tol": 1.0e-7,
-        "abs_xi_range": [1.0e-2, 1.0e2],
-        "lambda_im_range": [0.0, 1.0e2],
-        "epsilon_choices": [1.0e-2, 1.0, 1.0e2],
-        "rho_range": [0.1, 10.0],
-        "mu_range": [0.1, 10.0],
+        "seed": _integer(2024, minimum=0),
+        "n_modes": _integer(300, minimum=1),
+        "relations": _list_of(["T00", "T10", "T11"], _check_relation),
+        "rel_tol": _number(1.0e-7, positive=True),
+        **_SWEEP,
         "quadrature": {
-            "rel_tol": 1.0e-10,
-            "truncation_multiplier": 40.0,
-            "max_subdivisions": 2000,
+            "rel_tol": _number(1.0e-10, positive=True),
+            "truncation_multiplier": _number(40.0, positive=True),
+            "max_subdivisions": _integer(2000, minimum=1),
         },
     },
     "solve": {
-        "seed": 0,
-        "constants": {"rho": 1.0, "mu": 1.0, "epsilon": 1.0},
-        "lambda": {"re": 0.0, "im": 0.0},
-        "bc": {"alpha": 0, "beta": 0},
-        "grid": {
-            "x_length": TWO_PI,
-            "x_count": 64,
-            "y_max": 8.0,
-            "y_count": 129,
-            "y_kind": "uniform",
-            "y_grading": 0.0,
-        },
-        "modes": [],
-        "residual_samples": 33,
-        "residual_tol": None,
+        "seed": _integer(0, minimum=0),
+        "constants": {**_FLUID, "epsilon": _number(1.0, positive=True)},
+        "lambda": _Key({"re": 0.0, "im": 0.0}, _check_lambda),
+        "bc": _BC,
+        "grid": _grid_table(64, 8.0, "uniform"),
+        "modes": _Key([], _check_list),
+        "residual_samples": _integer(33, minimum=2),
+        "residual_tol": _number(None, positive=True),
     },
     "energy-audit": {
-        "seed": 0,
-        "constants": {"rho": 1.0, "mu": 1.0},
-        "bcs": None,
-        "n_trials": 100,
-        "x_length": TWO_PI,
+        "seed": _integer(0, minimum=0),
+        "constants": _FLUID,
+        "bcs": _list_of(None, _check_bc),
+        "n_trials": _integer(100, minimum=1),
+        "x_length": _number(TWO_PI, positive=True),
     },
     "run-ns": {
-        "seed": 0,
-        "constants": {"rho": 1.0, "mu": 1.0},
-        "grid": {
-            "x_length": TWO_PI,
-            "x_count": 16,
-            # the top boundary must sit deep enough that the initial tail
-            # y^2 e^{-decay y} cannot feed an artificial boundary layer:
-            # the discrete divergence defect scales like the datum there.
-            "y_max": 16.0,
-            "y_count": 129,
-            "y_kind": "cheb",
-            "y_grading": 0.0,
+        "seed": _integer(0, minimum=0),
+        "constants": _FLUID,
+        # the top boundary must sit deep enough that the initial tail
+        # y^2 e^{-decay y} cannot feed an artificial boundary layer: the
+        # discrete divergence defect scales like the datum there.
+        "grid": _grid_table(16, 16.0, "cheb"),
+        "initial": {
+            "amplitude": _number(1.0e-3),
+            "k": _integer(1, minimum=1),
+            "decay": _number(1.25, positive=True),
         },
-        "initial": {"amplitude": 1.0e-3, "k": 1, "decay": 1.25},
-        "dt": 0.02,
-        "n_steps": 50,
-        "picard_tol": 1.0e-8,
-        "picard_max": 10,
-        "dt_min": None,
+        "dt": _number(0.02, positive=True),
+        "n_steps": _integer(50, minimum=1),
+        "picard_tol": _number(1.0e-8, positive=True),
+        "picard_max": _integer(10, minimum=1),
+        "dt_min": _number(None, positive=True),
     },
 }
+
+#: every verb's defaults, as a plain dict
+_DEFAULTS: dict[str, dict] = {verb: _defaults(table) for verb, table in _CONFIG.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +399,7 @@ _DEFAULTS: dict[str, dict] = {
 def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
     """Recursive merge of override into defaults, rejecting unknown keys; a
     complex default {"re": .., "im": ..} also takes a plain number."""
-    merged = {}
-    for key, base in defaults.items():
-        merged[key] = base
+    merged = dict(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -241,37 +414,6 @@ def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-def _finite(val) -> bool:
-    """Whether the int or float val is a finite float; an int too large for
-    a float is not."""
-    try:
-        return math.isfinite(val)
-    except OverflowError:
-        return False
-
-
-def _require_number(cfg: dict, key: str, *, positive: bool = False, path: str = ""):
-    where = f"{path}.{key}" if path else key
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where!r} must be a number, got {val!r}")
-    if not _finite(val):
-        raise ConfigError(f"{where!r} must be finite, got {val!r}")
-    if positive and val <= 0:
-        raise ConfigError(f"{where!r} must be > 0, got {val!r}")
-    return val
-
-
-def _require_int(cfg: dict, key: str, *, minimum: int | None = None, path: str = ""):
-    where = f"{path}.{key}" if path else key
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where!r} must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{where!r} must be >= {minimum}, got {val}")
-    return val
-
-
 def _wavenumber(grid: halfspace.GridSpec, k: int, where: str) -> float:
     """grid.wavenumber(k) for the harmonic k read from where; a k whose
     wavenumber 2 pi k / x_length is not a finite float is a config error."""
@@ -284,26 +426,10 @@ def _wavenumber(grid: halfspace.GridSpec, k: int, where: str) -> float:
     return xi
 
 
-def _require_range(cfg: dict, key: str, *, positive: bool = False) -> tuple[float, float]:
-    val = cfg[key]
-    if (
-        not isinstance(val, (list, tuple))
-        or len(val) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
-    ):
-        raise ConfigError(f"{key!r} must be a [low, high] pair of numbers")
-    if not all(_finite(v) for v in val):
-        raise ConfigError(f"{key!r} must be finite, got {val!r}")
-    lo, hi = float(val[0]), float(val[1])
-    if lo > hi:
-        raise ConfigError(f"{key!r} must be ascending, got {val!r}")
-    if positive and lo <= 0:
-        raise ConfigError(f"{key!r} must be positive, got {val!r}")
-    return lo, hi
-
-
 def _load_config(command: str, config_path: str | None, seed: int | None) -> dict:
-    defaults = _DEFAULTS[command]
+    """The verb's defaults, with the config file at config_path merged over
+    them and seed, if given, in place of the config seed; checked against
+    the verb's table."""
     override: dict = {}
     if config_path is not None:
         try:
@@ -318,10 +444,10 @@ def _load_config(command: str, config_path: str | None, seed: int | None) -> dic
             raise ConfigError(f"config parse error in {config_path}: {exc}") from exc
         if not isinstance(override, dict):
             raise ConfigError("config root must be a JSON object")
-    resolved = _merge_config(defaults, override)
+    resolved = _merge_config(_DEFAULTS[command], override)
     if seed is not None:
         resolved["seed"] = seed
-    _require_int(resolved, "seed", minimum=0)
+    _check_config(_CONFIG[command], resolved)
     return resolved
 
 
@@ -420,31 +546,6 @@ def _draw_modes(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch:
     )
 
 
-def _validate_sweep_config(cfg: dict) -> None:
-    _require_int(cfg, "n_modes", minimum=1)
-    _require_range(cfg, "abs_xi_range", positive=True)
-    lam_lo, _ = _require_range(cfg, "lambda_im_range")
-    if lam_lo < 0:
-        raise ConfigError("'lambda_im_range' must be non-negative")
-    _require_range(cfg, "rho_range", positive=True)
-    _require_range(cfg, "mu_range", positive=True)
-    eps = cfg["epsilon_choices"]
-    if (
-        not isinstance(eps, (list, tuple))
-        or not eps
-        or any(
-            isinstance(e, bool)
-            or not isinstance(e, (int, float))
-            or not _finite(e)
-            or e <= 0
-            for e in eps
-        )
-    ):
-        raise ConfigError(
-            "'epsilon_choices' must be a non-empty list of finite positive numbers"
-        )
-
-
 # ---------------------------------------------------------------------------
 # verb: verify-symbols
 # ---------------------------------------------------------------------------
@@ -472,8 +573,9 @@ def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
     each chunk drawn from its own stream, keyed (seed, *key, chunk).  Returns
     the (chunk, index) label of every mode and the batch, checked for
     admissibility as a whole, so that the symbols the check derives stay
-    cached on the batch the campaign reads.  An inadmissible mode raises
-    InvalidModeError naming its (chunk, index) row."""
+    cached on the batch the campaign reads.  An inadmissible mode, or else
+    one whose |xi|^2 underflows to 0, raises InvalidModeError naming its
+    (chunk, index) row."""
     labels = [(chunk, idx) for chunk, count in chunks for idx in range(count)]
     batch = ModeBatch.concat(
         [
@@ -483,6 +585,11 @@ def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
     )
     try:
         batch.check_admissible()
+        # a positive |xi| can square to 0, and the (alpha, 0) inverses and
+        # the trace kernels divide by |xi|^2
+        zero = batch.xi_sq == 0.0
+        if zero.any():
+            raise InvalidModeError.at_mode("|xi|^2 must be > 0, got 0.0", int(np.argmax(zero)))
     except InvalidModeError as exc:
         chunk, idx = labels[exc.index]
         raise InvalidModeError(f"{exc.reason} in row (chunk {chunk}, index {idx})") from None
@@ -526,10 +633,6 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
 
 
 def _cmd_verify_symbols(cfg: dict, jobs: int, out_dir: str) -> int:
-    _validate_sweep_config(cfg)
-    _require_number(cfg, "identity_tol", positive=True)
-    _require_number(cfg, "generic_tol", positive=True)
-
     rows = [
         row
         for chunks in _symbol_stacks(_chunk_counts(cfg["n_modes"]))
@@ -596,25 +699,13 @@ def _traces_section(task):
 
 
 def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
-    _validate_sweep_config(cfg)
-    _require_number(cfg, "rel_tol", positive=True)
-    relations = cfg["relations"]
-    if not isinstance(relations, (list, tuple)) or not relations:
-        raise ConfigError("'relations' must be a non-empty list")
     table = parabolic.TRACE_RELATIONS
-    for rel in relations:
-        if rel not in table:
-            raise ConfigError(f"unknown relation {rel!r}; choose from {sorted(table)}")
-    q = cfg["quadrature"]
-    _require_number(q, "rel_tol", positive=True, path="quadrature")
-    _require_number(q, "truncation_multiplier", positive=True, path="quadrature")
-    _require_int(q, "max_subdivisions", minimum=1, path="quadrature")
-    qcfg = quadrature.QuadratureCfg(**q)
+    qcfg = quadrature.QuadratureCfg(**cfg["quadrature"])
 
     # a section's stream key is the relation's index in the config's list
     tasks = [
         (relation, alpha, ri, cfg, qcfg)
-        for ri, relation in enumerate(relations)
+        for ri, relation in enumerate(cfg["relations"])
         for alpha in table[relation][1]
     ]
     header = [
@@ -680,87 +771,46 @@ def _cmd_verify_traces(cfg: dict, jobs: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_complex(obj, where: str) -> complex:
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        parts = (obj.get("re", 0.0), obj.get("im", 0.0))
-    else:
-        parts = (obj, 0.0)
-    if all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
-        for v in parts
-    ):
-        return complex(*parts)
-    raise ConfigError(f"{where!r} must be a finite number or {{'re': .., 'im': ..}}")
-
-
-def _bc_from_config(entry, where: str) -> BcSpec:
-    """BcSpec of {'alpha': a, 'beta': b} with a, b integers in -1, 0, +1."""
-    if not isinstance(entry, dict) or set(entry) != {"alpha", "beta"}:
-        raise ConfigError(f"{where!r} must be {{'alpha': a, 'beta': b}}")
-    for key in ("alpha", "beta"):
-        val = entry[key]
-        if isinstance(val, bool) or not isinstance(val, int) or val not in (-1, 0, 1):
-            raise ConfigError(f"'{where}.{key}' must be one of -1, 0, +1, got {val!r}")
-    return BcSpec(entry["alpha"], entry["beta"])
-
-
 def _grid_from_config(cfg: dict) -> halfspace.GridSpec:
     g = cfg["grid"]
-    _require_number(g, "x_length", positive=True, path="grid")
-    _require_int(g, "x_count", minimum=1, path="grid")
-    _require_number(g, "y_max", positive=True, path="grid")
-    _require_int(g, "y_count", minimum=2, path="grid")
-    _require_number(g, "y_grading", path="grid")
-    if g["y_kind"] not in ("uniform", "graded", "cheb"):
-        raise ConfigError("grid.y_kind must be 'uniform', 'graded' or 'cheb'")
     try:
         return halfspace.GridSpec(
             x_length=float(g["x_length"]),
-            x_count=int(g["x_count"]),
+            x_count=g["x_count"],
             y_max=float(g["y_max"]),
-            y_count=int(g["y_count"]),
+            y_count=g["y_count"],
             y_grading=float(g["y_grading"]),
             y_kind=g["y_kind"],
         )
     except ValueError as exc:  # GridSpec pairs y_grading with y_kind
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ConfigError(f"'grid.y_grading' does not fit 'grid.y_kind': {exc}") from exc
 
 
-def _constants_from_config(cfg: dict, *, epsilon_key: bool = True) -> FluidConstants:
+def _constants_from_config(cfg: dict) -> FluidConstants:
+    """cfg["constants"] as FluidConstants; a verb whose constants have no
+    epsilon key gets epsilon = 1."""
     c = cfg["constants"]
-    _require_number(c, "rho", positive=True, path="constants")
-    _require_number(c, "mu", positive=True, path="constants")
-    if epsilon_key:
-        _require_number(c, "epsilon", positive=True, path="constants")
-        eps = float(c["epsilon"])
-    else:
-        eps = 1.0
-    return FluidConstants(rho=float(c["rho"]), mu=float(c["mu"]), epsilon=eps)
+    return FluidConstants(
+        rho=float(c["rho"]), mu=float(c["mu"]), epsilon=float(c.get("epsilon", 1.0))
+    )
 
 
 def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
     constants = _constants_from_config(cfg)
     lam = _parse_complex(cfg["lambda"], "lambda")
-    if lam.real < 0.0:
-        raise ConfigError(f"'lambda' must have Re lambda >= 0, got {lam}")
-    bc = _bc_from_config(cfg["bc"], "bc")
+    bc = BcSpec(**cfg["bc"])
     grid = _grid_from_config(cfg)
-    n_samples = _require_int(cfg, "residual_samples", minimum=2)
-    if cfg["residual_tol"] is not None:
-        _require_number(cfg, "residual_tol", positive=True)
 
-    if not isinstance(cfg["modes"], list):
-        raise ConfigError("'modes' must be a list")
     data = {}  # k -> (h_w, xi), in entry order
     for i, entry in enumerate(cfg["modes"]):
         where = f"modes[{i}]"
         if not isinstance(entry, dict) or set(entry) - {"k", "h_w"}:
-            raise ConfigError(f"{where} must be an object with keys 'k' and 'h_w'")
+            raise ConfigError(f"{where!r} must be an object with keys 'k' and 'h_w'")
         k = entry.get("k")
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ConfigError(f"{where}.k must be an integer >= 1")
+            raise ConfigError(f"'{where}.k' must be an integer >= 1, got {k!r}")
         if k in data:
-            raise ConfigError(f"duplicate mode k = {k}")
+            raise ConfigError(f"'{where}.k' is a duplicate of 'modes[{list(data).index(k)}].k'")
         h_w = _parse_complex(entry.get("h_w", 1.0), f"{where}.h_w")
         data[k] = (h_w, _wavenumber(grid, k, f"{where}.k"))
 
@@ -783,7 +833,7 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
         ) from exc
     amps = halfspace.ansatz_amplitudes(batch, z_v, z_w)
 
-    y_samples = np.linspace(0.0, grid.y_max, n_samples)
+    y_samples = np.linspace(0.0, grid.y_max, cfg["residual_samples"])
     residuals = halfspace.ansatz_residuals(batch, bc, amps, h_w, y_samples)
     mode_rows = list(zip(harmonics, *residuals.tolist()))
     field = halfspace.synthesize_field(
@@ -820,22 +870,16 @@ def _cmd_solve(cfg: dict, jobs: int, out_dir: str) -> int:
 
 
 def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
-    constants = _constants_from_config(cfg, epsilon_key=False)
-    n_trials = _require_int(cfg, "n_trials", minimum=1)
-    _require_number(cfg, "x_length", positive=True)
+    constants = _constants_from_config(cfg)
     bcs = cfg["bcs"]
-    if bcs is None:
-        bcs = [{"alpha": a, "beta": b} for a, b in ALL_BCS]
-    if not isinstance(bcs, list) or not bcs:
-        raise ConfigError("'bcs' must be a non-empty list (or null for all nine)")
-    specs = [_bc_from_config(entry, f"bcs[{i}]") for i, entry in enumerate(bcs)]
+    specs = ALL_BCS if bcs is None else [BcSpec(**entry) for entry in bcs]
 
     def _one(bc: BcSpec):
         return energy.classify_bc(
             bc,
             rho=constants.rho,
             mu=constants.mu,
-            n_trials=n_trials,
+            n_trials=cfg["n_trials"],
             seed=cfg["seed"],
             x_length=float(cfg["x_length"]),
         )
@@ -895,13 +939,12 @@ def _cmd_energy_audit(cfg: dict, jobs: int, out_dir: str) -> int:
 
 
 def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
-    constants = _constants_from_config(cfg, epsilon_key=False)
+    constants = _constants_from_config(cfg)
     grid = _grid_from_config(cfg)
     if grid.y_kind != "cheb":
-        raise ConfigError("run-ns requires grid.y_kind = 'cheb'")
+        raise ConfigError(f"'grid.y_kind' must be 'cheb' for run-ns, got {grid.y_kind!r}")
     init = cfg["initial"]
-    _require_number(init, "amplitude", path="initial")
-    k = _require_int(init, "k", minimum=1, path="initial")
+    k = init["k"]
     # the march keeps the harmonics below the Nyquist one: a higher k would
     # be dropped or aliased onto another harmonic
     if 2 * k >= grid.x_count:
@@ -909,14 +952,6 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
             f"'initial.k' must be below grid.x_count / 2 = {grid.x_count / 2:g}, got {k}"
         )
     _wavenumber(grid, k, "initial.k")
-    _require_number(init, "decay", positive=True, path="initial")
-    dt = _require_number(cfg, "dt", positive=True)
-    n_steps = _require_int(cfg, "n_steps", minimum=1)
-    picard_tol = _require_number(cfg, "picard_tol", positive=True)
-    picard_max = _require_int(cfg, "picard_max", minimum=1)
-    dt_min = cfg["dt_min"]
-    if dt_min is not None:
-        dt_min = _require_number(cfg, "dt_min", positive=True)
 
     initial = navier_stokes.stream_function_field(
         constants, grid, float(init["amplitude"]), k=k, decay=float(init["decay"])
@@ -925,11 +960,11 @@ def _cmd_run_ns(cfg: dict, jobs: int, out_dir: str) -> int:
     result = navier_stokes.run_simulation(
         stepper,
         initial,
-        dt,
-        n_steps,
-        dt_min=dt_min,
-        picard_tol=picard_tol,
-        picard_max=picard_max,
+        cfg["dt"],
+        cfg["n_steps"],
+        dt_min=cfg["dt_min"],
+        picard_tol=cfg["picard_tol"],
+        picard_max=cfg["picard_max"],
         keep_states=False,
     )
 

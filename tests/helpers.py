@@ -16,7 +16,6 @@ import pytest
 from stokesbc import FluidConstants, derive_mode
 from stokesbc.energy import ClassificationReport
 from stokesbc.cli import (
-    _bc_from_config,
     _constants_from_config,
     _csv_cell,
     _draw_modes,
@@ -247,7 +246,7 @@ def reference_solve(cfg):
     (k, momentum, divergence, datum_normal, datum_tangential)."""
     constants = _constants_from_config(cfg)
     lam = _parse_complex(cfg["lambda"], "lambda")
-    bc = _bc_from_config(cfg["bc"], "bc")
+    bc = BcSpec(**cfg["bc"])
     grid = _grid_from_config(cfg)
     y = np.linspace(0.0, grid.y_max, cfg["residual_samples"])
     contributions, rows = {}, []

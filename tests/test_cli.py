@@ -5,6 +5,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,20 @@ def test_negative_tolerance_rejected(runner, tmp_path):
         ("energy-audit", {"bcs": [{"alpha": 1.0, "beta": False}]}, "bcs[0]"),
         ("solve", {"modes": [{"k": 1, "h_w": {"re": float("nan")}}]}, "modes[0].h_w"),
         ("solve", {"lambda": {"re": float("nan")}}, "lambda"),
+        # a relation that is not a string cannot be looked up in the table
+        ("verify-traces", {"relations": [["T00"]]}, "'relations[0]' must be one of"),
+        ("verify-traces", {"relations": [{"T00": 1}]}, "'relations[0]' must be one of"),
+        # a section or pair listed twice would repeat its rows' labels
+        (
+            "verify-traces",
+            {"relations": ["T00", "T10", "T00"]},
+            "'relations[2]' is a duplicate of 'relations[0]'",
+        ),
+        (
+            "energy-audit",
+            {"bcs": [{"alpha": 1, "beta": 0}, {"beta": 0, "alpha": 1}]},
+            "'bcs[1]' is a duplicate of 'bcs[0]'",
+        ),
     ],
 )
 def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, named):
@@ -372,6 +387,35 @@ def test_invalid_config_exits_2_naming_the_key(runner, tmp_path, verb, config, n
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert named in result.output
+
+
+def table_leaves(table, path=()):
+    """(dotted key, leaf) of every leaf of a verb's config table."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from table_leaves(spec, (*path, key))
+        else:
+            yield ".".join((*path, key)), spec
+
+
+@pytest.mark.parametrize(
+    "verb, key",
+    [(verb, key) for verb, table in cli._CONFIG.items() for key, _ in table_leaves(table)],
+)
+def test_every_config_leaf_checks_its_value(runner, tmp_path, verb, key):
+    """A leaf's default passes its own check, and a string, a bool and a
+    nested list each exit 2 naming the key (or, for a list key, its entry)."""
+    leaf = dict(table_leaves(cli._CONFIG[verb]))[key]
+    leaf.check(leaf.default, key)
+    named = re.compile(rf"'{re.escape(key)}(\[0\])?' ")
+    for i, bad in enumerate(("x", True, [["x"]])):
+        config = bad
+        for part in reversed(key.split(".")):
+            config = {part: config}
+        result, _ = invoke(runner, verb, tmp_path, config, name=f"bad{i}")
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: "), result.output
+        assert named.search(result.output), result.output
 
 
 #: json writes and reads this int, but no float holds it
@@ -950,6 +994,31 @@ def test_write_csv_matches_the_per_cell_writer(tmp_path):
     assert text.splitlines()[1] == b"true,0.1,0.30000000000000004,-3,7,T00,-0.0"
 
 
+_REPORTS = {
+    "verify-symbols": ({"n_modes": 8}, "verify_symbols.json"),
+    "verify-traces": ({"n_modes": 3}, "verify_traces.json"),
+    "solve": (
+        {**_SMOKE_SOLVE, "lambda": {"im": 0.3}, "grid": {"x_count": 8, "y_count": 17}},
+        "solve_report.json",
+    ),
+    "energy-audit": ({"n_trials": 10}, "energy_audit.json"),
+    "run-ns": ({"grid": {"x_count": 8, "y_count": 33}, "n_steps": 2}, "run_ns.json"),
+}
+
+
+@pytest.mark.parametrize("verb", list(_REPORTS))
+def test_embedded_config_reruns_to_the_same_bytes(runner, tmp_path, verb):
+    """The resolved config a report embeds, fed back as --config, is a fixed
+    point: the run writes the same bytes."""
+    config, report = _REPORTS[verb]
+    first, out1 = invoke(runner, verb, tmp_path, config, name="a")
+    resolved = json.loads((out1 / report).read_text())["config"]
+    again, out2 = invoke(runner, verb, tmp_path, resolved, name="b")
+    assert first.exit_code == again.exit_code == 0, again.output
+    assert first.output == again.output
+    assert tree_bytes(out1) == tree_bytes(out2)
+
+
 def test_reports_embed_resolved_config(runner, tmp_path):
     result, out = invoke(runner, "verify-symbols", tmp_path, {"n_modes": 2})
     report = json.loads((out / "verify_symbols.json").read_text())
@@ -1098,6 +1167,19 @@ def test_inadmissible_draw_names_its_row(runner, tmp_path, verb):
     assert result.exit_code == 2
     assert result.output.strip() == (
         f"config error: |xi|^2 must be finite, got inf in row (chunk {chunk}, index {idx}){where}"
+    )
+
+
+@pytest.mark.parametrize(
+    "verb, where", [("verify-symbols", ""), ("verify-traces", " of T00 alpha=+0")]
+)
+def test_draw_whose_xi_squared_underflows_names_its_row(runner, tmp_path, verb, where):
+    """|xi| = 1e-300 is positive but squares to 0, which the (alpha, 0)
+    inverses and the trace kernels divide by."""
+    result, _ = invoke(runner, verb, tmp_path, {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]})
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == (
+        f"config error: |xi|^2 must be > 0, got 0.0 in row (chunk 0, index 0){where}"
     )
 
 
