@@ -31,17 +31,17 @@ changes no thread count.  Reports embed the fully resolved config.
 
 Start-up: importing this module loads numpy, numpy.fft, argparse and the
 two stokesbc submodules that every verb runs, errors and symbols.  It
-registers the other eight in sys.modules, and on the package, through
+registers the other nine in sys.modules, and on the package, through
 importlib.util.LazyLoader, which runs a module on first use; perfbench's
 tracer looks them all up in sys.modules.  Each verb then loads what it runs
 (_VERB_MODULES) before it reads its config, so that loading stays start-up
-work and no module runs inside a campaign: its own stokesbc submodule, which
-imports the submodules it needs, and numpy.random for the verbs that draw
-random numbers (verify-symbols, verify-traces, energy-audit).  numpy.random
-brings in secrets and hashlib and with them OpenSSL's libcrypto: about 12 ms
-and 6 MB of resident memory (4 MB of it libcrypto) on a 2-vCPU x86-64 host,
-none of which solve or run-ns uses.  verify-symbols runs no submodule but
-errors and symbols, so it compiles or reads no other.
+work and no module runs inside a campaign: its own stokesbc submodules,
+which import the submodules they need.  The sweeps draw from pcg64, which
+computes numpy's default_rng(key).random streams, and only energy-audit
+loads numpy.random.  That brings in secrets and hashlib and with them
+OpenSSL's libcrypto: about 12 ms and 6 MB of resident memory (4 MB of it
+libcrypto) on a 2-vCPU x86-64 host.  verify-symbols runs no submodule but
+errors, symbols and pcg64, so it compiles or reads no other.
 
 Determinism contract: identical config + seed produce byte-identical output
 files, whatever --jobs says.  A user-set OPENBLAS_NUM_THREADS is kept, and
@@ -129,10 +129,11 @@ for _name in (
     "parabolic",
     "energy",
     "navier_stokes",
+    "pcg64",
 ):
     _lazy_import(_name)
 
-from . import energy, halfspace, navier_stokes, parabolic, quadrature  # noqa: E402
+from . import energy, halfspace, navier_stokes, parabolic, pcg64, quadrature  # noqa: E402
 
 #: number of sweep chunks; each chunk keys its own random stream, so the
 #: modes drawn depend on the seed and the chunk alone.
@@ -511,17 +512,21 @@ def _draw_constants(rng: np.random.Generator, cfg: dict):
 
 
 def _draw_modes(rng: np.random.Generator, cfg: dict, count: int) -> ModeBatch:
-    """count random modes, as one ModeBatch that is not yet checked for
-    admissibility (_draw_chunks checks the batch it concatenates, once).
-
-    Mode i is row i of u = rng.random((count, 5)), by column: log10 |xi|,
-    Im lambda, the index floor(u k) into the k epsilon_choices, log10 rho
-    and log10 mu, each but the index uniform on its config range.  Each
+    """count random modes, of the rows of rng.random((count, 5)).  Each
     double spends one generator word, so row i is bit for bit the i-th
-    one-mode draw (_draw_constants) from a generator of the same seed: the
-    modes of a chunk do not depend on how it is split.
+    one-mode draw (_draw_constants) from a generator of the same seed."""
+    return _modes_from_uniforms(rng.random((count, 5)), cfg)
+
+
+def _modes_from_uniforms(u: np.ndarray, cfg: dict) -> ModeBatch:
+    """The modes of the rows of u, (count, 5) uniforms on [0, 1), as one
+    ModeBatch that is not yet checked for admissibility (_draw_chunks checks
+    the batch it draws, once).
+
+    Mode i is row i of u, by column: log10 |xi|, Im lambda, the index
+    floor(u k) into the k epsilon_choices, log10 rho and log10 mu, each but
+    the index uniform on its config range.  A mode reads its row alone.
     """
-    u = rng.random((count, 5))
 
     def uniform(col: int, lo: float, hi: float) -> np.ndarray:
         return lo + (hi - lo) * u[:, col]
@@ -570,19 +575,19 @@ def _symbol_stacks(counts: list[int]) -> list[list[tuple[int, int]]]:
 
 def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
     """The modes of the (chunk, count) chunks as one batch, in chunk order,
-    each chunk drawn from its own stream, keyed (seed, *key, chunk).  Returns
-    the (chunk, index) label of every mode and the batch, checked for
-    admissibility as a whole, so that the symbols the check derives stay
-    cached on the batch the campaign reads.  An inadmissible mode, or else
-    one whose |xi|^2 underflows to 0, raises InvalidModeError naming its
-    (chunk, index) row."""
+    each chunk from its own stream: the modes _draw_modes draws from
+    default_rng([seed, *key, chunk]).  Returns the (chunk, index) label of
+    every mode and the batch, checked for admissibility as a whole, so that
+    the symbols the check derives stay cached on the batch the campaign
+    reads.  An inadmissible mode, or else one whose |xi|^2 underflows to 0,
+    raises InvalidModeError naming its (chunk, index) row."""
     labels = [(chunk, idx) for chunk, count in chunks for idx in range(count)]
-    batch = ModeBatch.concat(
-        [
-            _draw_modes(np.random.default_rng([cfg["seed"], *key, chunk]), cfg, count)
-            for chunk, count in chunks
-        ]
+    streams = pcg64.uniforms(
+        [[cfg["seed"], *key, chunk] for chunk, _ in chunks],
+        5 * max(count for _, count in chunks),
     )
+    rows = [row[: 5 * count].reshape(count, 5) for row, (_, count) in zip(streams, chunks)]
+    batch = _modes_from_uniforms(np.concatenate(rows), cfg)
     try:
         batch.check_admissible()
         # a positive |xi| can square to 0, and the (alpha, 0) inverses and
@@ -1068,12 +1073,12 @@ _HELP = {
 }
 
 #: the modules each verb loads before it reads its config, so that loading
-#: them counts as start-up rather than as part of the campaign: numpy.random
-#: for the verbs that draw, and the stokesbc submodule the verb runs, which
-#: loads the submodules it imports (see the module docstring)
+#: them counts as start-up rather than as part of the campaign: the stokesbc
+#: submodules the verb runs, which load the submodules they import, and
+#: numpy.random for energy-audit's draws (see the module docstring)
 _VERB_MODULES = {
-    "verify-symbols": ("numpy.random",),
-    "verify-traces": ("numpy.random", "stokesbc.parabolic"),
+    "verify-symbols": ("stokesbc.pcg64",),
+    "verify-traces": ("stokesbc.pcg64", "stokesbc.parabolic"),
     "solve": ("stokesbc.halfspace",),
     "energy-audit": ("numpy.random", "stokesbc.energy"),
     "run-ns": ("stokesbc.navier_stokes",),
@@ -1137,14 +1142,23 @@ def _run(command: str, config_path, seed, jobs, out_dir) -> int:
     """Run the verb command; its exit code."""
     for name in _VERB_MODULES[command]:
         import_module(name)
+    made = []  # the directories makedirs makes, deepest first
     try:
         cfg = _load_config(command, config_path, seed)
         if jobs is not None and jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        path = os.path.abspath(out_dir)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[command](cfg, jobs or 1, out_dir)
     except (ConfigError, InvalidModeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        for path in made:  # as a config walk's error, leave no new directory
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         return 2
     except QuadratureBudgetError as exc:
         print(f"numerical budget exhausted: {exc}", file=sys.stderr)

@@ -130,6 +130,25 @@ _SMOKE_SOLVE = {
 }
 
 
+def loaded_after_run(tmp_path, verb, config):
+    """The exit code of a run of verb on config in a fresh interpreter, and
+    which of numpy.random and the modules it brings in, secrets and OpenSSL's
+    _hashlib, the run has loaded."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    args = [verb, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    probe = (
+        "import json, sys\n"
+        "from stokesbc.cli import main\n"
+        "try:\n"
+        f"    main({args!r})\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, [m for m in ('numpy.random', 'secrets', '_hashlib')\n"
+        "                                 if m in sys.modules]]))\n"
+    )
+    return json.loads(run_probe(probe).splitlines()[-1])
+
+
 @pytest.mark.parametrize(
     "verb, config",
     [
@@ -138,27 +157,29 @@ _SMOKE_SOLVE = {
     ],
 )
 def test_campaigns_that_draw_nothing_never_load_numpy_random(tmp_path, verb, config):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-    args = [verb, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    probe = (
-        "import sys\n"
-        "from stokesbc.cli import main\n"
-        "try:\n"
-        f"    main({args!r})\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, 'numpy.random' in sys.modules)\n"
-    )
-    assert run_probe(probe).splitlines()[-1] == "0 False"
+    assert loaded_after_run(tmp_path, verb, config) == [0, []]
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("verify-symbols", {"n_modes": 32}),
+        ("verify-traces", {"n_modes": 16, "relations": ["T00"]}),
+    ],
+)
+def test_sweeps_draw_without_numpy_random(tmp_path, verb, config):
+    """The sweeps draw their modes from stokesbc.pcg64, so they load neither
+    numpy.random nor, through it, hashlib and OpenSSL's libcrypto."""
+    assert loaded_after_run(tmp_path, verb, config) == [0, []]
 
 
 #: a small campaign of each verb, and the stokesbc modules it runs beside
 #: stokesbc, stokesbc.cli, stokesbc.errors and stokesbc.symbols
 _VERB_RUNS = {
-    "verify-symbols": ({"n_modes": 32}, []),
+    "verify-symbols": ({"n_modes": 32}, ["stokesbc.pcg64"]),
     "verify-traces": (
         {"n_modes": 16, "relations": ["T00"]},
-        ["stokesbc.parabolic", "stokesbc.profiles", "stokesbc.quadrature"],
+        ["stokesbc.parabolic", "stokesbc.pcg64", "stokesbc.profiles", "stokesbc.quadrature"],
     ),
     "solve": (
         _SMOKE_SOLVE,
@@ -191,8 +212,9 @@ _VERB_RUNS = {
 @pytest.mark.parametrize("verb", list(_VERB_RUNS))
 def test_each_verb_loads_its_modules_before_its_config(tmp_path, verb):
     """Every module a campaign runs has run when its config is read, so
-    that loading counts as start-up: none runs inside the verb body.  The
-    verbs that draw have loaded numpy.random by then too."""
+    that loading counts as start-up: none runs inside the verb body.
+    energy-audit, which draws from numpy.random, has loaded it by then too;
+    the sweeps draw from stokesbc.pcg64 and never load it."""
     config, modules = _VERB_RUNS[verb]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -221,7 +243,7 @@ def test_each_verb_loads_its_modules_before_its_config(tmp_path, verb):
     )
     seen = json.loads(run_probe(probe).splitlines()[-1])
     assert seen["code"] == 0
-    assert seen["random"] == (verb in ("verify-symbols", "verify-traces", "energy-audit"))
+    assert seen["random"] == (verb == "energy-audit")
     assert seen["config"] == seen["body"]
     base = ["stokesbc", "stokesbc.cli", "stokesbc.errors", "stokesbc.symbols"]
     assert seen["body"] == sorted(base + modules)
@@ -969,6 +991,31 @@ def test_run_ns_rejects_a_harmonic_its_grid_cannot_hold(runner, tmp_path, k, exi
     assert result.exit_code == exit_code, result.output
     if exit_code == 2:
         assert "'initial.k'" in result.output
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("verify-symbols", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}),
+        ("verify-traces", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}),
+        ("run-ns", {"grid": {"x_count": 8}, "initial": {"k": 4}}),
+    ],
+)
+def test_config_error_in_the_verb_body_leaves_no_new_directory(runner, tmp_path, verb, config):
+    """A config error that the verb body finds, past the config walk, takes
+    away the --out directories the run made, if they are still empty, as
+    one the walk finds makes none; a directory that was there stays."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "new" / "out"
+    args = [verb, "--config", str(cfg_path), "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    out.mkdir(parents=True)
+    assert runner.invoke(main, args).exit_code == 2
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_run_ns_deterministic(runner, tmp_path):
