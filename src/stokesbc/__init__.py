@@ -77,7 +77,6 @@ _EXPORTS: dict[str, str] = {
         "halfspace": (
             "ModeSolution",
             "solve_mode",
-            "SplittingSolution",
             "splitting_solve_mode",
             "forward_data",
             "GridSpec",
@@ -99,7 +98,6 @@ _EXPORTS: dict[str, str] = {
             "classify_bc",
             "ClassificationReport",
             "check_compatibility",
-            "CompatibilityReport",
         ),
         "navier_stokes": (
             "NsStepper",

@@ -58,7 +58,6 @@ __all__ = [
     "ClassificationReport",
     "classify_bc",
     "CompatibilityEntry",
-    "CompatibilityReport",
     "check_compatibility",
 ]
 
@@ -436,15 +435,6 @@ _PRESSURE_ROW_ENTRY = CompatibilityEntry(
 )
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    entries: tuple[CompatibilityEntry, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries if e.checked)
-
-
 def check_compatibility(
     field: SampledField,
     bc: BcSpec,
@@ -452,9 +442,9 @@ def check_compatibility(
     h_tangential=0.0,
     h_normal=0.0,
     tol: float = 1.0e-6,
-) -> CompatibilityReport:
+) -> tuple[CompatibilityEntry, ...]:
     """Check the initial-data compatibility conditions that the integrability
-    exponent makes meaningful.
+    exponent makes meaningful; one entry per condition, in order.
 
     C1 (always): the initial field is divergence free.
     C2 (the tangential row BcSpec.tangential_row = h): requires p > 3/2
@@ -500,4 +490,4 @@ def check_compatibility(
     if bc.beta != 0:
         entries.append(_PRESSURE_ROW_ENTRY)
 
-    return CompatibilityReport(entries=tuple(entries))
+    return tuple(entries)

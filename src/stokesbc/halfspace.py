@@ -32,9 +32,11 @@ particular velocity from decaying Helmholtz solves of
 -gradhat qbar + rho W fhat componentwise, corrected by fast-decay
 exponentials so the tangential row vanishes and the divergence trace
 matches g(0) (whence div u = g identically); (3) for beta in {0, +1}, a
-solve_mode correction carrying the leftover normal datum.  The reported
-pressure is qbar + rho q_f + (stage-3 mode pressure), q_f the Dirichlet
-potential of the forcing split off by the zero-trace (Weyl-type)
+solve_mode correction carrying the leftover normal datum.  It returns a
+ModeSolution, as solve_mode does, so the same residual calculus audits
+both: the stage-2 flow, plus the stage-3 solution for beta in {0, +1}.
+The reported pressure is qbar + rho q_f + (stage-3 mode pressure), q_f the
+Dirichlet potential of the forcing split off by the zero-trace (Weyl-type)
 projection.
 
 The sampled-field layer turns harmonics k, with xi_k = 2 pi k / L, and
@@ -77,7 +79,6 @@ from .symbols import BcSpec, FluidConstants, ModeBatch, ModeParams, solve_coeffi
 
 __all__ = [
     "ModeSolution",
-    "SplittingSolution",
     "ansatz_amplitudes",
     "sample_ansatz",
     "ansatz_residuals",
@@ -274,28 +275,13 @@ def solve_mode(mode: ModeParams, bc: BcSpec, h_w) -> ModeSolution:
     return ModeSolution.from_coefficients(mode, bc, *solve_coefficients(mode, bc, h_w))
 
 
-@dataclass(frozen=True)
-class SplittingSolution:
-    """Outcome of the three-stage solve, with the stage pieces kept for
-    inspection."""
-
-    mode: ModeParams
-    bc: BcSpec
-    velocity: VectorModeProfile
-    pressure: ScalarModeProfile
-    pressure_divergence: ScalarModeProfile  # stage-1 pressure (incl. h extension)
-    pressure_forcing: ScalarModeProfile  # rho * Dirichlet potential of f
-    trace_correction: ModeSolution | None  # stage-3 mode (beta in {0, +1})
-    residual_datum: complex  # normal datum carried by stage 3
-
-
 def splitting_solve_mode(
     mode: ModeParams,
     bc: BcSpec,
     f: VectorModeProfile,
     g: ScalarModeProfile,
     h_w,
-) -> SplittingSolution:
+) -> ModeSolution:
     """Solve the full mode problem (forcing f, divergence g, normal datum h_w)
     by the pressure / velocity / trace-correction splitting.
 
@@ -307,7 +293,8 @@ def splitting_solve_mode(
     fixing the tangential row to zero and the divergence trace to g(0) --
     which forces div u = g identically, since the defect solves the
     homogeneous decaying Helmholtz problem with zero trace.  Stage 3 (only
-    beta in {0, +1}) adds solve_mode on the leftover normal datum.
+    beta in {0, +1}) adds solve_mode on the leftover normal datum, through
+    ModeSolution's sum.
     """
     h_w = complex(h_w)
     if mode.abs_xi == 0.0:
@@ -374,22 +361,8 @@ def splitting_solve_mode(
 
     partial = ModeSolution(mode, bc, velocity, pressure)
     if bc.beta == -1:
-        return SplittingSolution(
-            mode, bc, velocity, pressure, q_bar, rho * q_f, None, 0.0
-        )
-
-    resid = h_w - partial.normal_row()
-    correction = solve_mode(mode, bc, resid)
-    return SplittingSolution(
-        mode,
-        bc,
-        velocity + correction.velocity,
-        pressure + correction.pressure,
-        q_bar,
-        rho * q_f,
-        correction,
-        resid,
-    )
+        return partial
+    return partial + solve_mode(mode, bc, h_w - partial.normal_row())
 
 
 def forward_data(solution: ModeSolution, tol: float = 1.0e-9):

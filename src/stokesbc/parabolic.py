@@ -217,7 +217,6 @@ class KernelApplication:
     values: np.ndarray
     closed_form: ScalarModeProfile
     max_mismatch: float
-    error_estimate: float
 
 
 def _decay_sum(m: complex, rhs: ScalarModeProfile) -> float:
@@ -256,11 +255,10 @@ def apply_kernel(
     closed = _kernel_closed_form(spec, rhs, y_max=float(np.max(y_grid)) or None)
 
     values = np.empty(y_grid.shape, dtype=complex)
-    err_total = 0.0
     for i, y in enumerate(y_grid):
         f = lambda eta, y=y: eval_kernel(spec, y, eta) * rhs(eta)
         brk = (float(y),) if 0.0 < y < upper else ()
-        val, err, _ = adaptive_integrate(
+        values[i], _, _ = adaptive_integrate(
             f,
             0.0,
             upper,
@@ -268,8 +266,6 @@ def apply_kernel(
             max_subdivisions=cfg.max_subdivisions,
             breakpoints=brk,
         )
-        values[i] = val
-        err_total = max(err_total, err)
 
     ref = closed(y_grid)
     scale = float(np.max(np.abs(ref))) or 1.0
@@ -279,7 +275,6 @@ def apply_kernel(
         values=values,
         closed_form=closed,
         max_mismatch=mismatch,
-        error_estimate=err_total,
     )
 
 
@@ -345,7 +340,6 @@ class FdOracleSolution:
     y: np.ndarray
     v_tangential: np.ndarray  # shape (n-1, len(y)); equals i xi V
     w: np.ndarray
-    v_scalar: np.ndarray  # V with vhat = i xi V
 
 
 def oracle_fd_solve(
@@ -426,11 +420,11 @@ def oracle_fd_solve(
     A[ny - 1, ny - 1] = 1.0
 
     sol = np.linalg.solve(A, b)
-    v_scalar = sol[:n]
+    v_scalar = sol[:n]  # V with vhat = i xi V
     w = sol[n:]
     xi = np.asarray(mode.xi, dtype=float)
     v_tan = (1j * xi)[:, None] * v_scalar[None, :]
-    return FdOracleSolution(y=y, v_tangential=v_tan, w=w, v_scalar=v_scalar)
+    return FdOracleSolution(y=y, v_tangential=v_tan, w=w)
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ class ScalarModeProfile:
         return cls(xi, ())
 
     @classmethod
-    def single(cls, xi, amp, rate, power: int = 0) -> "ScalarModeProfile":
-        return cls(xi, (ExpTerm(amp, rate, power),))
+    def single(cls, xi, amp, rate) -> "ScalarModeProfile":
+        return cls(xi, (ExpTerm(amp, rate),))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -236,10 +236,6 @@ class VectorModeProfile:
             raise ProfileError("normal component xi mismatch")
         self.tangential = tangential
         self.normal = normal
-
-    @property
-    def n(self) -> int:
-        return len(self.xi) + 1
 
     def divergence(self) -> ScalarModeProfile:
         """i xi . v + d_y w as a profile."""

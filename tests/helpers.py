@@ -120,6 +120,21 @@ def manufacture_solution(mode, bc, rng):
     return ModeSolution(mode, bc, VectorModeProfile(mode.xi, (v,), w), p)
 
 
+def assert_solves(sol, f, g, h_w, y):
+    """sol solves the mode problem with forcing f, divergence g and normal
+    datum h_w, to criterion 4's bounds on the nodes y: its momentum residual
+    is rho f, its divergence g, its normal row h_w and its tangential row 0."""
+    mode = sol.mode
+    vel = np.max(np.abs(sol.velocity.evaluate(y)))
+    prs = np.max(np.abs(sol.pressure(y)))
+    mom_scale = max(abs(mode.omega**2) * vel, prs * max(mode.abs_xi, 1.0))
+    forced = mode.constants.rho * f.evaluate(y)
+    assert np.max(np.abs(sol.momentum_residual().evaluate(y) - forced)) < 1e-9 * mom_scale
+    assert np.max(np.abs(sol.divergence()(y) - g(y))) < 1e-10 * vel * max(mode.abs_xi, 1.0)
+    assert abs(sol.normal_row() - h_w) < 1e-9 * abs(h_w)
+    assert np.max(np.abs(sol.tangential_row())) < 1e-9 * mom_scale
+
+
 def solution_sup_gap(a, b, y):
     """sup over y of the velocity/pressure mismatch, relative to a's scale."""
     vel_gap = np.max(np.abs(a.velocity.evaluate(y) - b.velocity.evaluate(y)))

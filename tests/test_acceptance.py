@@ -25,6 +25,7 @@ import pytest
 from helpers import (
     ALL_BCS,
     CliRunner,
+    assert_solves,
     complex_amp,
     draw_mode,
     field_of_solutions,
@@ -153,6 +154,7 @@ def test_criterion_05_splitting_round_trip():
             recovered = splitting_solve_mode(mode, bc, f, g, h_w)
             gap = solution_sup_gap(made, recovered, y)
             assert gap < 1e-8, f"{bc}: sup-gap {gap:.3e}"
+            assert_solves(recovered, f, g, h_w, y)
 
 
 def test_criterion_06_projection_suite():

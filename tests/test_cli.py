@@ -993,28 +993,36 @@ def test_run_ns_rejects_a_harmonic_its_grid_cannot_hold(runner, tmp_path, k, exi
         assert "'initial.k'" in result.output
 
 
+_BUDGET_TRACES = {"n_modes": 2, "relations": ["T00"], "quadrature": {"max_subdivisions": 2}}
+
+
 @pytest.mark.parametrize(
-    "verb, config",
+    "verb, config, code",
     [
-        ("verify-symbols", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}),
-        ("verify-traces", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}),
-        ("run-ns", {"grid": {"x_count": 8}, "initial": {"k": 4}}),
+        ("verify-symbols", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}, 2),
+        ("verify-traces", {"n_modes": 20, "abs_xi_range": [1e-300, 1e-300]}, 2),
+        ("run-ns", {"grid": {"x_count": 8}, "initial": {"k": 4}}, 2),
+        ("verify-traces", _BUDGET_TRACES, 3),
     ],
+    ids=["verify-symbols-config0", "verify-traces-config1", "run-ns-config2", "budget"],
 )
-def test_config_error_in_the_verb_body_leaves_no_new_directory(runner, tmp_path, verb, config):
-    """A config error that the verb body finds, past the config walk, takes
-    away the --out directories the run made, if they are still empty, as
-    one the walk finds makes none; a directory that was there stays."""
+def test_config_error_in_the_verb_body_leaves_no_new_directory(
+    runner, tmp_path, verb, config, code
+):
+    """A config error that the verb body finds, past the config walk, or an
+    exhausted quadrature budget, takes away the --out directories the run
+    made, if they are still empty, as an error the walk finds makes none; a
+    directory that was there stays."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "new" / "out"
     args = [verb, "--config", str(cfg_path), "--out", str(out)]
     result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert "config error: " in result.output
+    assert result.exit_code == code, result.output
+    assert {2: "config error: ", 3: "numerical budget exhausted: "}[code] in result.output
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     out.mkdir(parents=True)
-    assert runner.invoke(main, args).exit_code == 2
+    assert runner.invoke(main, args).exit_code == code
     assert out.is_dir() and not any(out.iterdir())
 
 

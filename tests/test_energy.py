@@ -176,7 +176,7 @@ def test_compatibility_smoke():
     sol = solve_mode(mode, BcSpec(0, 0), 1.0)
     field = field_of_solutions(CONSTANTS, {1: sol}, grid)
     report = check_compatibility(field, BcSpec(0, 0), p_exponent=1.0)
-    assert report.entries
+    assert report
 
 
 def _field(grid, u_x, u_y, constants=CONSTANTS):
@@ -300,7 +300,7 @@ def test_apply_is_the_row_by_row_product():
 
 def _rows(field, bc, p_exponent, **data):
     report = check_compatibility(field, bc, p_exponent, **data)
-    return {e.condition: e for e in report.entries}
+    return {e.condition: e for e in report}
 
 
 def _compatibility_field():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     ALL_BCS,
+    assert_solves,
     complex_amp,
     draw_mode,
     field_of_solutions,
@@ -122,6 +123,7 @@ def test_splitting_round_trip(seed, bc):
     recovered = splitting_solve_mode(mode, bc, f, g, h_w)
     y = np.linspace(0.0, 20.0, 81)
     assert solution_sup_gap(made, recovered, y) < 1e-8
+    assert_solves(recovered, f, g, h_w, y)
 
 
 def test_splitting_pure_boundary_drive_matches_solve_mode():

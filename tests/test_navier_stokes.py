@@ -157,6 +157,40 @@ def test_violent_datum_reports_suspected_blowup():
     assert result.dt_halvings >= result.rejected_steps
 
 
+def test_rejected_step_is_retried_at_half_dt():
+    """Picard's fourth gap is 1.5e-8 at dt = 0.1 and 3.3e-9 at dt = 0.05 on
+    this datum, so the first step is rejected once and both steps are
+    accepted at the halved dt."""
+    grid = cheb_grid(nx=8, ny=33)
+    stepper = NsStepper(CONSTANTS, grid)
+    initial = stream_function_field(CONSTANTS, grid, 0.5, decay=1.0)
+    result = run_simulation(
+        stepper, initial, dt=0.1, n_steps=2, picard_tol=7e-9, picard_max=4
+    )
+    assert result.status == "completed"
+    assert result.rejected_steps == 1
+    assert result.dt_halvings == 1
+    assert result.final_dt == 0.05
+    assert [rep.dt for rep in result.reports] == [0.05, 0.05]
+    assert all(rep.converged for rep in result.reports)
+
+
+def test_growing_energy_halves_dt_after_three_steps():
+    """A steady forcing from rest grows the energy at every step: dt halves
+    after the third accepted step, and the streak starts again."""
+    grid = cheb_grid(nx=8, ny=33)
+    stepper = NsStepper(CONSTANTS, grid)
+    push = small_field(grid).velocity
+    rest = SampledField(grid, CONSTANTS, np.zeros_like(push), np.zeros(push.shape[1:]))
+    result = run_simulation(stepper, rest, dt=0.02, n_steps=5, forcing=lambda t: push)
+    assert result.status == "completed"
+    assert np.all(np.diff(result.energies) > 0.0)
+    assert result.rejected_steps == 0
+    assert result.dt_halvings == 1
+    assert result.final_dt == 0.01
+    assert [rep.dt for rep in result.reports] == [0.02, 0.02, 0.02, 0.01, 0.01]
+
+
 def test_forcing_hook_is_applied():
     grid = cheb_grid(ny=49)
     stepper = NsStepper(CONSTANTS, grid)
