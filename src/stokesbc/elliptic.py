@@ -8,7 +8,9 @@ sign convention throughout is
     solve_elliptic_mode:   |xi|^2 q - q'' = rhs     (i.e. -lap q = rhs)
 
 with either a zero Dirichlet trace q(0) = 0 or a zero Neumann datum
-q'(0) = 0.  Equivalent Green kernels on the half-line:
+q'(0) = 0: the kinds 'dirichlet' and 'neumann' of
+profiles.helmholtz_solve_mode, which every half-line solve shares.
+Equivalent Green kernels on the half-line:
 
     k_-(y, eta) = (1/2|xi|) (e^{-|xi||y-eta|} - e^{-|xi|(y+eta)})   (Dirichlet)
     k_+(y, eta) = (1/2|xi|) (e^{-|xi||y-eta|} + e^{-|xi|(y+eta)})   (Neumann)
@@ -92,23 +94,17 @@ def neumann_extend_mode(xi, h: complex) -> ScalarModeProfile:
 def solve_elliptic_mode(xi, rhs: ScalarModeProfile, bc_kind: str) -> ScalarModeProfile:
     """Solve |xi|^2 q - q'' = rhs, decaying, with a homogeneous boundary row.
 
-    bc_kind: 'dirichlet_zero' (q(0) = 0) or 'neumann_zero' (q'(0) = 0).
+    bc_kind names the row as helmholtz_solve_mode does: 'dirichlet'
+    (q(0) = 0) or 'neumann' (q'(0) = 0); any other kind raises its
+    ProfileError.
     """
     r = _require_nonzero(xi)
-    if bc_kind == "dirichlet_zero":
-        kind = "dirichlet"
-    elif bc_kind == "neumann_zero":
-        kind = "neumann"
-    else:
-        raise ValueError(
-            f"bc_kind must be 'dirichlet_zero' or 'neumann_zero', got {bc_kind!r}"
-        )
-    return helmholtz_solve_mode(r * r, 1.0, rhs, kind, 0.0)
+    return helmholtz_solve_mode(r * r, 1.0, rhs, bc_kind, 0.0)
 
 
 def weyl_project_mode(f: VectorModeProfile) -> VectorModeProfile:
     """Remove the zero-trace gradient part: output is divergence-free."""
-    q = solve_elliptic_mode(f.xi, -1.0 * f.divergence(), "dirichlet_zero")
+    q = solve_elliptic_mode(f.xi, -1.0 * f.divergence(), "dirichlet")
     return f - gradient(q)
 
 
@@ -135,7 +131,7 @@ def divergence_pressure_mode(mode: ModeParams, g: ScalarModeProfile) -> ScalarMo
     mu = mode.constants.mu
 
     # (i) q_N'' - |xi|^2 q_N = g with q_N'(0) = 0
-    q_n = solve_elliptic_mode(mode.xi, -1.0 * g, "neumann_zero")
+    q_n = solve_elliptic_mode(mode.xi, -1.0 * g, "neumann")
 
     # (ii) transport by the shifted resolvent symbol and keep the gradient part
     grad_qn = gradient(q_n)
@@ -149,7 +145,7 @@ def divergence_pressure_mode(mode: ModeParams, g: ScalarModeProfile) -> ScalarMo
         omega_sq * grad_qn.normal - mu * grad_qn.normal.derivative().derivative(),
     )
     # grad q = -(I - W) C = -grad q_c with q_c the zero-trace potential of C
-    q_c = solve_elliptic_mode(mode.xi, -1.0 * c.divergence(), "dirichlet_zero")
+    q_c = solve_elliptic_mode(mode.xi, -1.0 * c.divergence(), "dirichlet")
     return -1.0 * q_c
 
 

@@ -166,8 +166,12 @@ class ModeSolution:
         )
 
     def __add__(self, other: "ModeSolution") -> "ModeSolution":
+        """The superposed flow of two solutions of one problem: equal mode
+        (constants, lam and xi) and equal bc pair, else ProfileError."""
         if not isinstance(other, ModeSolution):
             return NotImplemented
+        if other.mode != self.mode or other.bc != self.bc:
+            raise ProfileError("only solutions of one mode and one bc pair add")
         return ModeSolution(
             self.mode,
             self.bc,
@@ -317,7 +321,7 @@ def splitting_solve_mode(
         q_bar = q_bar + dirichlet_extend_mode(mode.xi, h_w)
 
     # zero-trace potential part of the forcing
-    q_f = solve_elliptic_mode(mode.xi, -1.0 * f.divergence(), "dirichlet_zero")
+    q_f = solve_elliptic_mode(mode.xi, -1.0 * f.divergence(), "dirichlet")
     f_proj = f - gradient(q_f)
 
     # stage 2: particular velocity + fast-exponential correction

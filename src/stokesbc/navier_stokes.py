@@ -65,9 +65,9 @@ velocity, its pressure and its gradient.  The gradient feeds the next
 iterate's convective term, and the last iterate's gives the step's
 divergence report.
 
-The driver halves dt when Picard stalls or the kinetic energy grows for
-three consecutive accepted steps, and stops with status 'blowup_suspected'
-at dt_min.
+run_simulation halves dt when Picard stalls or, in an unforced march, the
+kinetic energy grows for three consecutive accepted steps, and stops with
+status 'blowup_suspected' at dt_min.
 """
 
 from __future__ import annotations
@@ -361,10 +361,13 @@ def run_simulation(
 ) -> SimulationResult:
     """March n_steps accepted steps, halving dt on trouble.
 
-    A step is rejected (and dt halved) when Picard fails to converge; dt is
-    also halved after three consecutive accepted steps with growing kinetic
-    energy.  Once dt would fall below dt_min (default dt / 1024) the run
-    stops with status 'blowup_suspected'.
+    A step is rejected (and dt halved) when Picard fails to converge.  An
+    unforced march (forcing None) also halves dt after three consecutive
+    accepted steps with growing kinetic energy: under the no-slip rows of
+    the march the energy of an unforced flow cannot grow, so growth is
+    numerical trouble.  A forcing may feed energy in, so a forced march
+    keeps no growth streak.  Once dt would fall below dt_min (default
+    dt / 1024) the run stops with status 'blowup_suspected'.
     """
     if dt_min is None:
         dt_min = dt / 1024.0
@@ -396,7 +399,7 @@ def run_simulation(
         if keep_states:
             states.append(state)
         accepted += 1
-        if report.energy > energies[-2]:
+        if forcing is None and report.energy > energies[-2]:
             growth_streak += 1
         else:
             growth_streak = 0

@@ -299,23 +299,19 @@ def parabolic_solve_mode(
     mode: ModeParams,
     alpha: int,
     pressure: ScalarModeProfile,
-    pressure_bc_kind: str,
 ) -> VectorModeProfile:
     """Velocity profile of the kernel-route special solution.
 
     pressure must be the decaying harmonic extension of its wall datum
-    (shape P e^{-|xi| y}); pressure_bc_kind records whether that datum was a
-    Dirichlet trace ('dirichlet', beta = +1 route) or an outward normal
-    derivative ('neumann', beta = 0 route).  The returned velocity solves
-    the interior equations with the alpha tangential row and the divergence
-    row, and i xi.vhat + d_y what = 0 holds identically.
+    (shape P e^{-|xi| y}).  The profile fixes the solution whether that
+    datum was a Dirichlet trace (beta = +1 route) or an outward normal
+    derivative (beta = 0 route), so the route is not an argument.  The
+    returned velocity solves the interior equations with the alpha
+    tangential row and the divergence row, and i xi.vhat + d_y what = 0
+    holds identically.
     """
     if alpha not in ALPHA_KERNELS:
         raise ValueError(f"alpha must be in {{-1,0,+1}}, got {alpha}")
-    if pressure_bc_kind not in ("dirichlet", "neumann"):
-        raise ValueError(
-            f"pressure_bc_kind must be 'dirichlet' or 'neumann', got {pressure_bc_kind!r}"
-        )
     if tuple(pressure.xi) != tuple(mode.xi):
         raise ValueError(f"mode/pressure xi mismatch: {mode.xi} vs {pressure.xi}")
     _check_harmonic(pressure)

@@ -174,33 +174,26 @@ class ModeParams:
     rate_slow = _entry("abs_xi", "Decay rate |xi| of the pressure (harmonic) ansatz column.")
 
 
-_VALID_AB = (-1, 0, 1)
-
-# static preservation classes, keyed by (alpha, beta)
-_BC_CLASS = {
-    (0, 0): "B1",
-    (1, 0): "B1",
-    (-1, 0): "B1",
-    (0, 1): "B2",
-    (1, 1): "B2",
-    (0, -1): "B2",
-    (-1, -1): "B2",
-    (1, -1): "B3",
-    (-1, 1): "B3",
-}
+#: the stress form whose nu-component a wall row pins, by the row's alpha
+#: or beta: a velocity trace (0) pins none, +1 one of nu^T S, -1 one of nu^T T
+_ROW_FORM = {0: None, 1: "S", -1: "T"}
+_VALID_AB = tuple(_ROW_FORM)
 
 
 @dataclass(frozen=True)
 class BcSpec:
     """Boundary-condition index pair (alpha, beta), each in {-1, 0, +1}.
 
-    preservation_class tags the induced kinetic-energy behaviour:
-      B1 - boundary power of the full (convective) balance vanishes,
-      B2 - boundary power of the linear balance vanishes,
-      B3 - neither vanishes identically.
-    The vorticity-flavoured members (alpha = -1 or beta = -1) vanish in the
-    balance written with the antisymmetric stress T = 2 mu R - p I; the rest
-    in the symmetric form S = 2 mu D - p I.
+    Each index names what its wall row pins (tangential_row, normal_row):
+    0 a velocity trace, +1 a component of nu^T S with the symmetric stress
+    S = 2 mu D - p I, -1 one of nu^T T with the antisymmetric T = 2 mu R - p I.
+    The energy behaviour follows from that alone.  The linear boundary power
+    u . nu^T S (or nu^T T) vanishes pointwise when no row pins a component of
+    the other form; the convective flux |u|^2 u.nu / 2 vanishes when the
+    normal row pins w.  preservation_class tags the outcome:
+      B1 - beta = 0: the full (convective) boundary power vanishes,
+      B2 - the rows pin at most one form: the linear power vanishes,
+      B3 - one row pins S, the other T: neither vanishes identically.
     """
 
     alpha: int
@@ -212,19 +205,27 @@ class BcSpec:
                 f"(alpha, beta) must lie in {{-1,0,+1}}^2, got ({self.alpha}, {self.beta})"
             )
 
+    def _forms(self) -> set:
+        """The stress forms the two wall rows pin components of (None for a
+        velocity trace)."""
+        return {_ROW_FORM[self.alpha], _ROW_FORM[self.beta]}
+
     @property
     def preservation_class(self) -> str:
-        return _BC_CLASS[(self.alpha, self.beta)]
+        if self.beta == 0:
+            return "B1"
+        return "B3" if self._forms() == {"S", "T"} else "B2"
 
     @property
     def adapted_form(self) -> str:
         """Which stress form makes the boundary power vanish pointwise.
 
         'S' for the symmetric stress 2 mu D - p I, 'T' for the antisymmetric
-        2 mu R - p I.  For B3 neither vanishes; the tag still names the form
-        in which the class's witness functionals are reported.
+        2 mu R - p I: T when a row pins a component of nu^T T, else S.  For
+        B3 neither vanishes; the tag still names the form in which the
+        class's witness functionals are reported.
         """
-        return "T" if (self.alpha == -1 or self.beta == -1) else "S"
+        return "T" if "T" in self._forms() else "S"
 
     def __iter__(self):
         """Unpacks as (alpha, beta)."""
@@ -262,7 +263,7 @@ ALL_BCS = tuple(BcSpec(a, b) for b in (0, 1, -1) for a in (0, 1, -1))
 
 #: the six pairs with an invertible boundary symbol (beta = -1 prescribes
 #: the pressure trace directly and has no symbol to invert)
-SYMBOL_BCS = tuple(BcSpec(a, b) for b in (0, 1) for a in (0, 1, -1))
+SYMBOL_BCS = tuple(bc for bc in ALL_BCS if bc.beta != -1)
 
 
 def derive_mode(constants: FluidConstants, lam: complex, xi) -> ModeParams:
@@ -434,7 +435,7 @@ class ModeBatch:
 
 
 def _check_bc_for_symbol(bc: BcSpec) -> None:
-    if bc.beta == -1:
+    if bc not in SYMBOL_BCS:
         raise UnsupportedCaseError(
             "beta = -1 prescribes the pressure trace directly; no boundary "
             "symbol exists for it (solve that case through the pressure "

@@ -101,7 +101,7 @@ def test_criterion_03_fd_oracle_convergence():
         return np.vstack([orc.v_tangential, orc.w[None, :]])
 
     for alpha in (0, 1, -1):
-        closed = parabolic_solve_mode(mode, alpha, pressure, "dirichlet")
+        closed = parabolic_solve_mode(mode, alpha, pressure)
 
         def closed_on(y):
             return np.vstack(

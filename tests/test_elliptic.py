@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from helpers import complex_amp, draw_mode, random_profile, standard_mode
 from stokesbc import (
+    ProfileError,
     dirichlet_extend_mode,
     divergence_pressure_mode,
     helmholtz_project_mode,
@@ -33,17 +34,25 @@ def elliptic_residual(xi_abs, q, rhs):
     return sup(resid)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["dirichlet_zero", "neumann_zero"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dirichlet", "neumann"]))
 def test_solve_elliptic_mode(seed, kind):
     rng = np.random.default_rng(seed)
     mode = standard_mode(abs_xi=10.0 ** rng.uniform(-1.0, 1.0))
     rhs = random_profile(mode, rng, max_power=1)
     q = solve_elliptic_mode(mode.xi, rhs, kind)
     assert elliptic_residual(mode.abs_xi, q, rhs) < 1e-11 * (sup(rhs) + 1e-30)
-    if kind == "dirichlet_zero":
+    if kind == "dirichlet":
         assert abs(q(0.0)) < 1e-12 * (sup(q) + 1e-30)
     else:
         assert abs(q.derivative()(0.0)) < 1e-11 * (sup(q) + 1e-30)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_zero", "neumann_zero"])
+def test_solve_elliptic_mode_takes_the_helmholtz_kind_names(kind):
+    mode = standard_mode(abs_xi=1.3)
+    rhs = ScalarModeProfile.single(mode.xi, 1.0, 2.0)
+    with pytest.raises(ProfileError, match="bc_kind must be 'dirichlet' or 'neumann'"):
+        solve_elliptic_mode(mode.xi, rhs, kind)
 
 
 def test_extensions_are_harmonic_with_datum():

@@ -114,6 +114,21 @@ def test_forward_data_rejects_inhomogeneous_tangential_row():
         forward_data(bad, tol=1e-9)
 
 
+def test_solutions_of_different_problems_do_not_add():
+    left_mode = derive_mode(FluidConstants(1.0, 1.0, 1.0), 0.3j, (1.0,))
+    right_mode = derive_mode(FluidConstants(2.0, 1.0, 1.0), 5.0j, (1.0,))
+    left = solve_mode(left_mode, BcSpec(0, 0), 1.0)
+    for right in (
+        solve_mode(right_mode, BcSpec(1, 1), 1.0),
+        solve_mode(right_mode, BcSpec(0, 0), 1.0),
+        solve_mode(left_mode, BcSpec(1, 1), 1.0),
+    ):
+        with pytest.raises(ProfileError, match="one mode and one bc pair"):
+            left + right
+    both = left + solve_mode(left_mode, BcSpec(0, 0), 0.5j)
+    assert both.normal_row() == pytest.approx(1.0 + 0.5j, rel=1e-12)
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_BCS))
 def test_splitting_round_trip(seed, bc):
     rng = np.random.default_rng(seed)

@@ -175,20 +175,47 @@ def test_rejected_step_is_retried_at_half_dt():
     assert all(rep.converged for rep in result.reports)
 
 
-def test_growing_energy_halves_dt_after_three_steps():
-    """A steady forcing from rest grows the energy at every step: dt halves
-    after the third accepted step, and the streak starts again."""
-    grid = cheb_grid(nx=8, ny=33)
-    stepper = NsStepper(CONSTANTS, grid)
+class GrowingEnergyStepper:
+    """A stand-in stepper whose every step converges with a larger energy:
+    an unforced march that should not gain energy, but does."""
+
+    def step(self, state, dt, forcing, picard_tol, picard_max):
+        time = state.time + dt
+        report = ns.IterationReport(time, dt, 1, (0.0,), True, 0.0, time)
+        return NsState(time, state.field), report
+
+
+def rest_field(grid):
     push = small_field(grid).velocity
-    rest = SampledField(grid, CONSTANTS, np.zeros_like(push), np.zeros(push.shape[1:]))
-    result = run_simulation(stepper, rest, dt=0.02, n_steps=5, forcing=lambda t: push)
+    return SampledField(grid, CONSTANTS, np.zeros_like(push), np.zeros(push.shape[1:]))
+
+
+def test_growing_energy_halves_dt_after_three_steps():
+    """An unforced march whose energy grows at every step: dt halves after
+    the third accepted step, and the streak starts again."""
+    rest = rest_field(cheb_grid(nx=8, ny=33))
+    result = run_simulation(GrowingEnergyStepper(), rest, dt=0.02, n_steps=5)
     assert result.status == "completed"
     assert np.all(np.diff(result.energies) > 0.0)
     assert result.rejected_steps == 0
     assert result.dt_halvings == 1
     assert result.final_dt == 0.01
     assert [rep.dt for rep in result.reports] == [0.02, 0.02, 0.02, 0.01, 0.01]
+
+
+def test_bounded_forced_march_completes_at_its_dt():
+    """A steady forcing from rest feeds the energy in at every step, and
+    boundedly: the forced march keeps dt and completes."""
+    grid = cheb_grid(nx=8, ny=33)
+    push = small_field(grid).velocity
+    stepper = NsStepper(CONSTANTS, grid)
+    result = run_simulation(stepper, rest_field(grid), dt=0.02, n_steps=40, forcing=lambda t: push)
+    assert result.status == "completed"
+    assert np.all(np.diff(result.energies) > 0.0)
+    assert result.rejected_steps == 0
+    assert result.dt_halvings == 0
+    assert result.final_dt == 0.02
+    assert len(result.reports) == 40
 
 
 def test_forcing_hook_is_applied():

@@ -121,7 +121,7 @@ def test_kernel_route_velocity_contract(seed, alpha):
     rng = np.random.default_rng(seed)
     mode = draw_mode(rng)
     pressure = dirichlet_extend_mode(mode.xi, complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)))
-    vel = parabolic_solve_mode(mode, alpha, pressure, "dirichlet")
+    vel = parabolic_solve_mode(mode, alpha, pressure)
     mu = mode.constants.mu
     y = np.linspace(0.0, 6.0 / max(min(mode.rate_slow, mode.rate_fast.real), 0.4), 33)
     scale = np.max(np.abs(vel.evaluate(y))) * abs(mode.omega**2) + 1e-30
@@ -157,7 +157,7 @@ def test_fd_oracle_grids_nest_and_rows_hold():
 def test_fd_oracle_tracks_kernel_route():
     mode = derive_mode(standard_mode().constants, 0.3j, (1.0,))
     pressure = dirichlet_extend_mode(mode.xi, 1.0 + 0.5j)
-    closed = parabolic_solve_mode(mode, 0, pressure, "dirichlet")
+    closed = parabolic_solve_mode(mode, 0, pressure)
     orc = oracle_fd_solve(mode, 0, pressure, 257)
     got = np.vstack([orc.v_tangential, orc.w[None, :]])
     want = np.vstack(

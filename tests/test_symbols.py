@@ -91,6 +91,18 @@ def test_bc_spec_validated():
         BcSpec(0, -2)
 
 
+def test_classes_and_forms_follow_from_the_wall_rows():
+    # (alpha, beta, preservation_class, adapted_form), in ALL_BCS order
+    assert [(*bc, bc.preservation_class, bc.adapted_form) for bc in ALL_BCS] == [
+        (0, 0, "B1", "S"), (1, 0, "B1", "S"), (-1, 0, "B1", "T"),
+        (0, 1, "B2", "S"), (1, 1, "B2", "S"), (-1, 1, "B3", "T"),
+        (0, -1, "B2", "T"), (1, -1, "B3", "T"), (-1, -1, "B2", "T"),
+    ]
+    assert [tuple(bc) for bc in SYMBOL_BCS] == [
+        (0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1),
+    ]
+
+
 @given(mode_st, st.sampled_from(SYMBOL_BCS))
 def test_symbol_factorization(mode, bc):
     d, m = boundary_symbol_factors(mode, bc)
