@@ -598,14 +598,21 @@ def _draw_chunks(cfg: dict, chunks: list[tuple[int, int]], key: tuple):
         if zero.any():
             raise InvalidModeError.at_mode("|xi|^2 must be > 0, got 0.0", int(np.argmax(zero)))
     except InvalidModeError as exc:
-        chunk, idx = labels[exc.index]
-        raise InvalidModeError(f"{exc.reason} in row (chunk {chunk}, index {idx})") from None
+        raise InvalidModeError(_in_row(exc, labels)) from None
     return labels, batch
+
+
+def _in_row(exc, labels: list[tuple[int, int]]) -> str:
+    """The reason of a ModeIndexedError, naming its mode's (chunk, index)
+    label."""
+    chunk, idx = labels[exc.index]
+    return f"{exc.reason} in row (chunk {chunk}, index {idx})"
 
 
 def _check_symbol_stack(chunks: list[tuple[int, int]], cfg: dict) -> list[tuple]:
     """The rows of the (chunk, count) chunks, checked as one stack, each row
-    labelled (chunk, index)."""
+    labelled (chunk, index).  A drawn mode whose symbol is exactly singular
+    under some pair raises ConfigError naming the pair and its row."""
     labels, batch = _draw_chunks(cfg, chunks, ())
     eye = np.eye(batch.n)
     worst_id = np.zeros(batch.size)
@@ -614,7 +621,10 @@ def _check_symbol_stack(chunks: list[tuple[int, int]], cfg: dict) -> list[tuple]
     for bc in SYMBOL_BCS:
         b = boundary_symbol(batch, bc)
         closed = closed_form_inverse(batch, bc)
-        generic = generic_inverse(batch, bc)
+        try:
+            generic = generic_inverse(batch, bc)
+        except SingularModeError as exc:
+            raise ConfigError(f"{_in_row(exc, labels)} at (alpha, beta) = {tuple(bc)}") from None
         rid = _max_abs(b @ closed - eye) / (_max_abs(b) * _max_abs(closed))
         gap = _max_abs(closed - generic) / _max_abs(generic)
         worse = np.maximum(rid, gap) >= np.maximum(worst_id, worst_gap)
@@ -1095,6 +1105,8 @@ def _config_file(path: str) -> str:
 
 
 def _out_dir(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("directory must not be empty")
     if os.path.exists(path) and not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
     return path
@@ -1152,7 +1164,12 @@ def _run(command: str, config_path, seed, jobs, out_dir) -> int:
         while not os.path.exists(path):
             made.append(path)
             path = os.path.dirname(path)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            # a usage error; code is still 1, so the cleanup below runs
+            print(f"error: cannot create --out {out_dir!r}: {exc.strerror}", file=sys.stderr)
+            return 2
         code = _COMMANDS[command](cfg, jobs or 1, out_dir)
     except (ConfigError, InvalidModeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -1164,7 +1181,7 @@ def _run(command: str, config_path, seed, jobs, out_dir) -> int:
         print(f"error: {exc}", file=sys.stderr)
     finally:
         if code:
-            for path in made:
+            for path in filter(os.path.isdir, made):
                 if os.listdir(path):
                     break
                 os.rmdir(path)

@@ -41,7 +41,10 @@ The resulting wall traces reproduce the closed trace relations
 
 for Neumann-driven (-d_y p(0) = h) resp. Dirichlet-driven pressures, with
 S^alpha the beta = +1 trace multiplier.  verify_trace_relations sweeps these
-identities with adaptive quadrature on the kernel side.
+identities with adaptive quadrature on the kernel side, against the
+multipliers symbols.trace_multiplier reads off the closed-form inverse of
+the boundary symbol: the kernels, which know nothing of B, check the
+coefficients every solve uses.
 
 Three tables hold these concepts: KERNEL_WEIGHTS maps each kernel kind to
 its weight c (K_v^- and K_w^- share one formula), ALPHA_KERNELS maps alpha

@@ -63,7 +63,9 @@ symbol function applied to it run the batch code, and a batched sweep checks
 exactly the numbers a single-mode solve uses.
 
 Trace multipliers (trace_multiplier) relate the scalar datum h_w to the
-pressure co-trace of the solved mode:
+pressure co-trace of the solved mode.  Since phat(0) = kappa lambda_eps z_w
+and z_w = (B^-1)_nn h_w, trace_multiplier reads them off closed_form_inverse,
+the inverse every solve applies; in closed form they are
 
     beta = 0 :  -d_y phat(0) = T^alpha h_w,
                 T^0 = omega(omega + |zeta|),  T^{+-1} = omega^2 +- |zeta|^2
@@ -626,7 +628,8 @@ def _lu_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of the (N, n, n) stack a, in a's precision.
 
     LU factorisation with partial pivoting, P A = L U, then the triangular
-    solves L U X = P.  Raises SingularModeError on an exactly zero pivot.
+    solves L U X = P.  Raises SingularModeError.at_mode naming the first
+    matrix with an exactly zero pivot.
     """
     lu = a.copy()
     n = lu.shape[-1]
@@ -638,8 +641,9 @@ def _lu_inverse(a: np.ndarray) -> np.ndarray:
         perm[rows, k], perm[rows, piv] = perm[rows, piv], perm[rows, k]
         lu[:, k + 1 :, k] /= lu[:, k, k, None]
         lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k, None] * lu[:, None, k, k + 1 :]
-    if np.any(np.diagonal(lu, axis1=1, axis2=2) == 0.0):
-        raise SingularModeError("boundary symbol is exactly singular")
+    singular = np.flatnonzero(np.any(np.diagonal(lu, axis1=1, axis2=2) == 0.0, axis=1))
+    if singular.size:
+        raise SingularModeError.at_mode("boundary symbol is exactly singular", int(singular[0]))
     x = (perm[:, :, None] == np.arange(n)).astype(lu.dtype)
     for i in range(1, n):
         x[:, i] -= np.sum(lu[:, i, :i, None] * x[:, :i], axis=1)
@@ -681,28 +685,20 @@ def trace_multiplier(mode: ModeParams | ModeBatch, bc: BcSpec):
     beta = +1:  phat(0)     = S^alpha h_w
     beta = -1:  phat(0)     = h_w           (identity; the datum IS the trace)
 
+    T^alpha and S^alpha are read off the solve itself: for the unit datum,
+    z_w is the corner (B^-1)_nn of closed_form_inverse, phat(0) =
+    kappa lambda_eps z_w and -d_y phat(0) = |xi| phat(0).  So the multiplier
+    is the one solve_coefficients applies, not a second statement of it, and
+    it raises and warns as closed_form_inverse does (SingularModeError at
+    xi = 0 for beta = 0).  The module docstring gives the closed forms.
+
     For a ModeBatch the result is the (N,) array of its modes' multipliers.
     """
     p = _as_batch(mode)
-    omega = p.omega
-    az = p.abs_zeta
-    # omega^2 - |zeta|^2 == rho lambda_eps exactly; avoid the cancelling
-    # subtraction (see closed_form_inverse).
-    rho_lam = p.rho_lam
-    if bc.beta == 0 and bc.alpha == 0:
-        mult = omega * (omega + az)
-    elif bc.beta == 0:
-        mult = rho_lam if bc.alpha < 0 else omega**2 + az**2
-    elif bc.beta == 1 and bc.alpha != 0:
-        sgn = float(bc.alpha)
-        numer = rho_lam if sgn < 0 else omega**2 + az**2
-        denom = (omega**2 + az**2 if sgn < 0 else rho_lam) + 2.0 * (
-            omega / (omega + az)
-        ) * (az**2 + sgn * az**2)
-        mult = numer / denom
-    else:
-        mult = np.ones(p.size, dtype=complex)
-    return _unbatch(mode, mult)
+    if bc.beta == -1:
+        return _unbatch(mode, np.ones(p.size, dtype=complex))
+    mult = p.kappa * p.lambda_eps * closed_form_inverse(p, bc)[:, -1, -1]
+    return _unbatch(mode, mult * p.abs_xi if bc.beta == 0 else mult)
 
 
 def solve_coefficients(mode: ModeParams | ModeBatch, bc: BcSpec, h_w):

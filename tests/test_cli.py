@@ -20,7 +20,7 @@ from helpers import (
 )
 
 import stokesbc
-from stokesbc import QuadratureCfg, cli, halfspace, verify_trace_relations
+from stokesbc import QuadratureCfg, cli, halfspace, symbols, verify_trace_relations
 from stokesbc.cli import main
 from stokesbc.symbols import generic_inverse
 
@@ -335,6 +335,26 @@ def test_usage_errors_exit_2(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert "usage:" in result.output.lower()
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("afile/sub", "error: cannot create --out 'afile/sub': Not a directory\n"),
+        ("", "argument --out: directory must not be empty\n"),
+    ],
+    ids=["under-a-file", "empty"],
+)
+def test_out_that_cannot_be_created_exits_2(runner, tmp_path, monkeypatch, out, message):
+    """An --out that cannot be made is a usage error: one line, exit 2, no
+    traceback, and nothing left on disk."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    result = runner.invoke(main, ["solve", "--out", out])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.output.endswith(message)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_malformed_json_reports_position(runner, tmp_path):
@@ -715,6 +735,44 @@ def test_verify_symbols_stacks_chunks_up_to_the_cap(runner, tmp_path, monkeypatc
     assert len(seen) == calls
     assert max(seen) <= cli.SYMBOL_STACK
     assert sum(seen) == 6 * n_modes
+
+
+def test_verify_symbols_names_a_drawn_mode_with_an_exactly_singular_symbol(runner, tmp_path):
+    """rho lambda_eps = 1e-300 leaves the generic inverse an exactly zero
+    pivot: a config error naming the pair and the row, not a tolerance
+    breach."""
+    cfg = {"n_modes": 64, "epsilon_choices": [1e-300], "lambda_im_range": [0.0, 0.0]}
+    result, out = invoke(runner, "verify-symbols", tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert (
+        "config error: boundary symbol is exactly singular in row (chunk 0, index 0) "
+        "at (alpha, beta) = (0, 0)" in result.output
+    )
+    assert not out.exists()
+
+
+def test_verify_traces_checks_the_coefficients_solve_uses(runner, tmp_path, monkeypatch):
+    """Scale beta = +1's normal row of B by 1.25: B and its closed-form
+    inverse stay consistent, so verify-symbols passes, but the solve is
+    wrong.  verify-traces reads its multipliers off that inverse and fails
+    every T11 section."""
+    row_scalings = symbols._row_scalings
+
+    def scaled(p, bc):
+        d = row_scalings(p, bc)
+        if bc.beta == 1:
+            d[:, -1] *= 1.25
+        return d
+
+    monkeypatch.setattr(symbols, "_row_scalings", scaled)
+    cfg = {"n_modes": 40}
+    result, _ = invoke(runner, "verify-symbols", tmp_path, cfg, name="symbols")
+    assert result.exit_code == 0, result.output
+    result, out = invoke(runner, "verify-traces", tmp_path, cfg, name="traces")
+    assert result.exit_code == 1, result.output
+    sections = json.loads((out / "verify_traces.json").read_text())["relations"]
+    failed = {(s["relation"], s["alpha"]) for s in sections if not s["passed"]}
+    assert failed == {("T11", 0), ("T11", 1), ("T11", -1)}
 
 
 def test_verify_traces_budget_exhaustion_exit_code(runner, tmp_path):

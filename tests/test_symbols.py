@@ -33,6 +33,24 @@ mode_st = st.builds(
 )
 
 
+def draw_wide_mode(rng):
+    """One admissible mode past the standard box: |xi| log-uniform in
+    [1e-2, 1e6], and rho lambda_eps log-uniform in [1e-6, 1e2] mu |xi|^2,
+    split between epsilon and i Im lambda."""
+    abs_xi = 10.0 ** rng.uniform(-2.0, 6.0)
+    rho = 10.0 ** rng.uniform(-1.0, 1.0)
+    mu = 10.0 ** rng.uniform(-1.0, 1.0)
+    rho_lam = 10.0 ** rng.uniform(-6.0, 2.0) * mu * abs_xi**2
+    angle = rng.uniform(0.0, 0.5 * math.pi - 1e-3)
+    eps, im = rho_lam * math.cos(angle) / rho, rho_lam * math.sin(angle) / rho
+    return derive_mode(FluidConstants(rho, mu, eps), 1j * im, (abs_xi,))
+
+
+wide_mode_st = st.builds(
+    draw_wide_mode, st.integers(0, 2**32 - 1).map(np.random.default_rng)
+)
+
+
 def test_derived_quantities():
     mode = derive_mode(FluidConstants(2.0, 3.0, 0.5), 1.0 + 4.0j, (1.5,))
     assert mode.lambda_eps == 1.5 + 4.0j
@@ -154,6 +172,8 @@ def test_mean_mode_is_singular_for_velocity_dirichlet():
     for alpha in (0, 1, -1):
         with pytest.raises(SingularModeError):
             closed_form_inverse(mode, BcSpec(alpha, 0))
+        with pytest.raises(SingularModeError):
+            trace_multiplier(mode, BcSpec(alpha, 0))
     # the traction-type normal rows stay regular at xi = 0
     for alpha in (0, 1, -1):
         x = closed_form_inverse(mode, BcSpec(alpha, 1))
@@ -200,6 +220,29 @@ def test_velocity_trace_multipliers_from_rates(mode):
     assert trace_multiplier(mode, BcSpec(1, 0)) == pytest.approx(om**2 + az**2)
     # omega^2 - |zeta|^2 collapses to rho lambda_eps; must be evaluated that way
     assert trace_multiplier(mode, BcSpec(-1, 0)) == pytest.approx(rho_lam)
+
+
+# the narrow end of the wide draws has cond(B) past COND_WARN_THRESHOLD
+@pytest.mark.filterwarnings("ignore:boundary symbol poorly conditioned")
+@given(st.one_of(mode_st, wide_mode_st), st.sampled_from(SYMBOL_BCS))
+def test_trace_multipliers_are_the_closed_forms(mode, bc):
+    """trace_multiplier, read off closed_form_inverse, is the paper's T^alpha
+    (beta = 0) or S^alpha (beta = +1), written out here with
+    omega^2 - |zeta|^2 as rho lambda_eps; beta = -1 is exactly 1."""
+    om, az, rho_lam = mode.omega, mode.abs_zeta, mode.rho_lam
+    plus = om**2 + az**2
+    closed = {
+        (0, 0): om * (om + az),
+        (1, 0): plus,
+        (-1, 0): rho_lam,
+        (0, 1): 1.0,
+        # (omega^2 +- |zeta|^2) /
+        #     ((omega^2 -+ |zeta|^2) + 2 omega/(omega+|zeta|) (|zeta|^2 +- |zeta|^2))
+        (1, 1): plus / (rho_lam + 2.0 * om / (om + az) * 2.0 * az**2),
+        (-1, 1): rho_lam / plus,
+    }[tuple(bc)]
+    assert abs(trace_multiplier(mode, bc) - closed) <= 1e-13 * abs(closed)
+    assert trace_multiplier(mode, BcSpec(bc.alpha, -1)) == 1.0
 
 
 @given(mode_st, st.sampled_from(SYMBOL_BCS), st.integers(0, 2**32 - 1))
@@ -342,6 +385,14 @@ def test_singular_mode_error_names_its_mode():
     with pytest.raises(SingularModeError) as err:
         closed_form_inverse(mean, BcSpec(0, 0))
     assert err.value.index == 1
+    # so is the first mode whose symbol is exactly singular in the generic
+    # inverse's extended precision: rho lambda_eps = 1e-300 leaves a zero pivot
+    ones = np.ones(4)
+    tiny = ModeBatch(ones, ones, np.array([1.0, 1.0, 1e-300, 1e-300]), ones * 0j, ones[:, None])
+    with pytest.raises(SingularModeError) as err:
+        generic_inverse(tiny, BcSpec(0, 0))
+    assert err.value.index == 2
+    assert err.value.reason == "boundary symbol is exactly singular"
 
 
 def test_check_admissible_names_the_first_offending_mode():
